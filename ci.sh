@@ -29,13 +29,13 @@ fi
 # (`cargo fmt` resolves no dependencies and takes no such flag).
 cargo build --release --offline
 cargo test -q --offline
-cargo clippy --offline -- -D warnings
+cargo clippy --offline --all-targets -- -D warnings
 cargo fmt --check
 
 # The worker pool is feature-gated; build and test the whole workspace
 # with it on (includes the ≥128-case staged-parallel == serial suite).
 cargo test -q --offline --workspace --features parallel
-cargo clippy --offline --workspace --features parallel -- -D warnings
+cargo clippy --offline --workspace --all-targets --features parallel -- -D warnings
 
 # Bench smoke: re-measures the hot-path kernels and validates the
 # committed BENCH_hotpath.json baseline (fails on malformed JSON or a

@@ -7,8 +7,9 @@
 //! every rate the bench records the detection count, whether the
 //! detections are **bit-for-bit identical** to the fault-free run (the
 //! chaos suite's headline, here measured rather than only asserted), the
-//! mean stability latency, and the retransmission overhead (retransmits,
-//! acks, duplicates dropped, link-level drops).
+//! mean stability latency, and the retransmission overhead (timer
+//! retransmits, SACK fast retransmits, acks, duplicates dropped,
+//! link-level drops; `retx_per_msg` counts both kinds of resent copy).
 //!
 //! A second matrix runs **crash/restart schedules**: durable sites are
 //! killed mid-run and restarted (single crash, crash under a lossy
@@ -28,7 +29,7 @@
 
 use decs_chronos::{Granularity, Nanos};
 use decs_core::CompositeTimestamp;
-use decs_distrib::{Engine, EngineConfig};
+use decs_distrib::{Engine, EngineConfig, Metrics};
 use decs_simnet::{LinkConfig, ScenarioBuilder, SplitMix64};
 use decs_snoop::{Context, EventExpr as E};
 use std::fmt::Write as _;
@@ -44,6 +45,7 @@ struct Row {
     match_clean: bool,
     mean_stability_ms: f64,
     retransmits: u64,
+    fast_retransmits: u64,
     acks_sent: u64,
     duplicates_dropped: u64,
     link_dropped: u64,
@@ -51,6 +53,16 @@ struct Row {
 }
 
 type Keys = Vec<(String, CompositeTimestamp)>;
+
+/// Resent copies of either kind (timer rounds and SACK fast retransmits)
+/// per message the coordinator processed.
+fn retx_per_msg(m: &Metrics) -> f64 {
+    if m.messages_processed == 0 {
+        0.0
+    } else {
+        (m.retransmits + m.fast_retransmits) as f64 / m.messages_processed as f64
+    }
+}
 
 /// Deterministic workload shared by every rate: `events` injections over
 /// the first 3 s on random sites.
@@ -97,14 +109,11 @@ fn run_case(drop_ppm: u32, w: &[(u64, u32, &'static str)], horizon_secs: u64) ->
         match_clean: true, // filled by the caller against the 0% run
         mean_stability_ms: m.mean_stability_latency_ns() as f64 / 1e6,
         retransmits: m.retransmits,
+        fast_retransmits: m.fast_retransmits,
         acks_sent: m.acks_sent,
         duplicates_dropped: m.duplicates_dropped,
         link_dropped: c.dropped,
-        retx_per_msg: if m.messages_processed == 0 {
-            0.0
-        } else {
-            m.retransmits as f64 / m.messages_processed as f64
-        },
+        retx_per_msg: retx_per_msg(&m),
     };
     (keys, row)
 }
@@ -147,6 +156,7 @@ struct CrashRow {
     rejoin_latency_ms: f64,
     post_rejoin_stability_ms: f64,
     retransmits: u64,
+    fast_retransmits: u64,
     retx_per_msg: f64,
 }
 
@@ -236,11 +246,8 @@ fn run_crash_case(s: &Schedule, w: &[(u64, u32, &'static str)], horizon_secs: u6
             (post_sum / u128::from(post_released)) as f64 / 1e6
         },
         retransmits: m.retransmits,
-        retx_per_msg: if m.messages_processed == 0 {
-            0.0
-        } else {
-            m.retransmits as f64 / m.messages_processed as f64
-        },
+        fast_retransmits: m.fast_retransmits,
+        retx_per_msg: retx_per_msg(&m),
     }
 }
 
@@ -272,7 +279,7 @@ fn render_json(mode: &str, rows: &[Row], crash_rows: &[CrashRow]) -> String {
     let mut j = String::new();
     let _ = writeln!(j, "{{");
     let _ = writeln!(j, "  \"bench\": \"chaos\",");
-    let _ = writeln!(j, "  \"schema\": 2,");
+    let _ = writeln!(j, "  \"schema\": 3,");
     let _ = writeln!(j, "  \"mode\": \"{mode}\",");
     let _ = writeln!(j, "  \"threads\": {threads},");
     let _ = writeln!(j, "  \"rows\": [");
@@ -281,13 +288,15 @@ fn render_json(mode: &str, rows: &[Row], crash_rows: &[CrashRow]) -> String {
         let _ = writeln!(
             j,
             "    {{\"drop_ppm\": {}, \"detections\": {}, \"match_clean\": {}, \
-             \"mean_stability_ms\": {:.2}, \"retransmits\": {}, \"acks_sent\": {}, \
-             \"duplicates_dropped\": {}, \"link_dropped\": {}, \"retx_per_msg\": {:.4}}}{comma}",
+             \"mean_stability_ms\": {:.2}, \"retransmits\": {}, \"fast_retransmits\": {}, \
+             \"acks_sent\": {}, \"duplicates_dropped\": {}, \"link_dropped\": {}, \
+             \"retx_per_msg\": {:.4}}}{comma}",
             r.drop_ppm,
             r.detections,
             r.match_clean,
             r.mean_stability_ms,
             r.retransmits,
+            r.fast_retransmits,
             r.acks_sent,
             r.duplicates_dropped,
             r.link_dropped,
@@ -304,7 +313,7 @@ fn render_json(mode: &str, rows: &[Row], crash_rows: &[CrashRow]) -> String {
              \"match_clean\": {}, \"site_restarts\": {}, \"rejoins\": {}, \
              \"epoch_max\": {}, \"rejoin_latency_ms\": {:.3}, \
              \"post_rejoin_stability_ms\": {:.2}, \"retransmits\": {}, \
-             \"retx_per_msg\": {:.4}}}{comma}",
+             \"fast_retransmits\": {}, \"retx_per_msg\": {:.4}}}{comma}",
             r.name,
             r.drop_ppm,
             r.detections,
@@ -315,6 +324,7 @@ fn render_json(mode: &str, rows: &[Row], crash_rows: &[CrashRow]) -> String {
             r.rejoin_latency_ms,
             r.post_rejoin_stability_ms,
             r.retransmits,
+            r.fast_retransmits,
             r.retx_per_msg
         );
     }

@@ -1,11 +1,34 @@
 //! Per-site stream delivery: FIFO reassembly over sequence numbers,
 //! incarnation-epoch filtering and the `Hello` rejoin transition,
-//! cumulative acks, stall detection and eviction.
+//! cumulative acks with selective-ack ranges, stall detection and
+//! eviction.
 
 use super::{CoordCtx, CoordinatorNode, ACK_TIMER_TAG, RELAY_RETX_TAG};
 use crate::durability::WalRecord;
-use crate::protocol::Msg;
+use crate::protocol::{Msg, SACK_RANGES};
 use decs_simnet::NodeIdx;
+use std::collections::BTreeMap;
+
+/// The selective-ack view of a stream's parked messages: maximal runs of
+/// consecutive parked sequence numbers as half-open `[lo, hi)` ranges,
+/// ascending, the lowest [`SACK_RANGES`] of them (a park at `u64::MAX`
+/// has no half-open bound and goes unreported). Allocates nothing when
+/// nothing is parked.
+fn sack_of(parked: &BTreeMap<u64, Msg>) -> Vec<(u64, u64)> {
+    let mut sack: Vec<(u64, u64)> = Vec::new();
+    for &seq in parked.range(..u64::MAX).map(|(seq, _)| seq) {
+        match sack.last_mut() {
+            Some((_, hi)) if *hi == seq => *hi += 1,
+            _ => {
+                if sack.len() == SACK_RANGES {
+                    break;
+                }
+                sack.push((seq, seq + 1));
+            }
+        }
+    }
+    sack
+}
 
 impl CoordinatorNode {
     /// Consume one in-order message from `site`'s reassembled stream:
@@ -246,13 +269,20 @@ impl CoordinatorNode {
         self.release_round(ctx);
     }
 
-    /// Send `site`'s cumulative ack, scoped to its current epoch (a site
-    /// ignores acks from an epoch other than its own).
+    /// Send `site`'s cumulative ack with the selective-ack ranges of its
+    /// parked messages, scoped to its current epoch (a site ignores acks
+    /// from an epoch other than its own).
     pub(super) fn send_ack(&mut self, to: NodeIdx, site: usize, ctx: &mut impl CoordCtx) {
         self.metrics.acks_sent += 1;
-        let cum_seq = self.streams[site].next;
-        let epoch = self.streams[site].epoch;
-        ctx.send(to, Msg::Ack { cum_seq, epoch });
+        let stream = &self.streams[site];
+        ctx.send(
+            to,
+            Msg::Ack {
+                cum_seq: stream.next,
+                epoch: stream.epoch,
+                sack: sack_of(&stream.parked),
+            },
+        );
     }
 
     /// Periodic round: re-send every stream's cumulative ack (repairing
@@ -450,6 +480,14 @@ impl CoordinatorNode {
                     self.metrics.parked_dropped += 1;
                 }
                 self.metrics.parked_peak = self.metrics.parked_peak.max(self.parked_total);
+                // A park that opens a new hole — the message just below it
+                // is neither delivered (`seq > next`) nor parked — is
+                // reported at once, so the sender fast-retransmits the hole
+                // instead of waiting out its timer. A park adjacent to an
+                // existing run adds nothing the last gap ack did not say.
+                if stream.parked.contains_key(&seq) && !stream.parked.contains_key(&(seq - 1)) {
+                    self.send_ack(from, site, ctx);
+                }
             }
             std::cmp::Ordering::Less => {
                 // An already-delivered sequence number: a retransmitted or
@@ -459,5 +497,108 @@ impl CoordinatorNode {
                 self.send_ack(from, site, ctx);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{CoordCtx, CoordinatorNode};
+    use crate::protocol::{Msg, SACK_RANGES};
+    use decs_chronos::Nanos;
+    use decs_simnet::NodeIdx;
+    use decs_snoop::ShardedDetector;
+
+    /// A context that keeps every message the coordinator sends.
+    #[derive(Default)]
+    struct Sent(Vec<Msg>);
+
+    impl CoordCtx for Sent {
+        fn true_now(&self) -> Nanos {
+            Nanos::ZERO
+        }
+        fn set_timer(&mut self, _delay: Nanos, _tag: u64) {}
+        fn send(&mut self, _to: NodeIdx, msg: Msg) {
+            self.0.push(msg);
+        }
+    }
+
+    fn coordinator(parked_cap: usize) -> CoordinatorNode {
+        let mut d = ShardedDetector::new();
+        d.register("A").unwrap();
+        let mut c = CoordinatorNode::new(1, d, 100_000_000);
+        c.set_fault_tolerance(Nanos::ZERO, 0, false, parked_cap);
+        c
+    }
+
+    /// Deliver heartbeat `seq` from site 0 and return the acks it caused
+    /// as `(cum_seq, sack)` pairs.
+    fn deliver(c: &mut CoordinatorNode, seq: u64) -> Vec<(u64, Vec<(u64, u64)>)> {
+        let mut ctx = Sent::default();
+        let hb = Msg::Heartbeat {
+            seq,
+            epoch: 0,
+            watermark: 0,
+        };
+        c.deliver(NodeIdx(0), hb, &mut ctx);
+        ctx.0
+            .into_iter()
+            .map(|m| match m {
+                Msg::Ack { cum_seq, sack, .. } => (cum_seq, sack),
+                other => panic!("coordinator sent {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lossless_stream_acks_carry_an_empty_sack() {
+        let mut c = coordinator(0);
+        for seq in 0..5 {
+            assert_eq!(deliver(&mut c, seq), vec![(seq + 1, vec![])]);
+        }
+    }
+
+    #[test]
+    fn each_new_hole_gets_exactly_one_gap_ack() {
+        let mut c = coordinator(0);
+        // 2 opens the hole [0, 2).
+        assert_eq!(deliver(&mut c, 2), vec![(0, vec![(2, 3)])]);
+        // 3 extends the parked run above the same hole: no ack.
+        assert_eq!(deliver(&mut c, 3), vec![]);
+        // 5 opens a second hole, [4, 5).
+        assert_eq!(deliver(&mut c, 5), vec![(0, vec![(2, 4), (5, 6)])]);
+        // A second copy of a parked message says nothing new.
+        assert_eq!(deliver(&mut c, 5), vec![]);
+        // In-order progress acks as always, with the remaining view.
+        assert_eq!(deliver(&mut c, 0), vec![(1, vec![(2, 4), (5, 6)])]);
+        assert_eq!(deliver(&mut c, 1), vec![(4, vec![(5, 6)])]);
+        assert_eq!(c.metrics.reassembly_parks, 3);
+    }
+
+    #[test]
+    fn sack_reports_the_lowest_ranges() {
+        let mut c = coordinator(0);
+        let mut last = Vec::new();
+        for k in 1..=(SACK_RANGES as u64 + 1) {
+            let acks = deliver(&mut c, 2 * k);
+            assert_eq!(acks.len(), 1, "park {} opens a new hole", 2 * k);
+            last = acks[0].1.clone();
+        }
+        let lowest: Vec<(u64, u64)> = (1..=SACK_RANGES as u64)
+            .map(|k| (2 * k, 2 * k + 1))
+            .collect();
+        assert_eq!(last, lowest);
+        assert!(crate::protocol::sack_valid(0, &last));
+    }
+
+    #[test]
+    fn parked_overflow_victim_leaves_the_sack() {
+        let mut c = coordinator(2);
+        assert_eq!(deliver(&mut c, 2), vec![(0, vec![(2, 3)])]);
+        assert_eq!(deliver(&mut c, 3), vec![]);
+        // 5 overflows the cap and is itself the victim: no hole opened.
+        assert_eq!(deliver(&mut c, 5), vec![]);
+        assert_eq!(c.metrics.parked_dropped, 1);
+        // The next ack no longer sacks 5, so the sender's timer resends it.
+        assert_eq!(deliver(&mut c, 0), vec![(1, vec![(2, 4)])]);
     }
 }

@@ -14,7 +14,7 @@
 //! (a CRC collision) or a version drift; both are reported, not trusted.
 
 use crate::metrics::Metrics;
-use crate::protocol::{Msg, PathStep, PlanePos, RelayedEvent, RoutedEvent};
+use crate::protocol::{sack_valid, Msg, PathStep, PlanePos, RelayedEvent, RoutedEvent};
 use decs_chronos::{GlobalTicks, LocalTicks, SiteId};
 use decs_core::{CompositeTimestamp, PrimitiveTimestamp};
 use decs_snoop::{
@@ -300,6 +300,18 @@ impl Decode for (u64, u32, u64) {
     }
 }
 
+impl Encode for (u64, u64) {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+        self.1.encode(out);
+    }
+}
+impl Decode for (u64, u64) {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok((r.u64()?, r.u64()?))
+    }
+}
+
 impl Encode for (u64, u64, bool) {
     fn encode(&self, out: &mut Vec<u8>) {
         self.0.encode(out);
@@ -571,10 +583,15 @@ impl Encode for Msg {
                 watermark.encode(out);
                 events.as_ref().encode(out);
             }
-            Msg::Ack { cum_seq, epoch } => {
+            Msg::Ack {
+                cum_seq,
+                epoch,
+                sack,
+            } => {
                 out.push(5);
                 cum_seq.encode(out);
                 epoch.encode(out);
+                sack.encode(out);
             }
             Msg::Crash => out.push(6),
             Msg::Evict { site } => {
@@ -641,10 +658,19 @@ impl Decode for Msg {
                 watermark: r.u64()?,
                 events: Arc::new(Vec::decode(r)?),
             }),
-            5 => Ok(Msg::Ack {
-                cum_seq: r.u64()?,
-                epoch: r.u64()?,
-            }),
+            5 => {
+                let cum_seq = r.u64()?;
+                let epoch = r.u64()?;
+                let sack = Vec::decode(r)?;
+                if !sack_valid(cum_seq, &sack) {
+                    return Err(CodecError::Invalid("Ack SACK ranges"));
+                }
+                Ok(Msg::Ack {
+                    cum_seq,
+                    epoch,
+                    sack,
+                })
+            }
             6 => Ok(Msg::Crash),
             7 => Ok(Msg::Evict { site: r.u32()? }),
             8 => Ok(Msg::Hello {
@@ -876,6 +902,10 @@ impl Decode for Metrics {
             relay_retransmits: r.u64()?,
             relays_received: r.u64()?,
             routed_received: r.u64()?,
+            // Site-held counters, aggregated by the engine: always zero in
+            // a coordinator's own metrics, so never persisted.
+            fast_retransmits: 0,
+            sacks_refused: 0,
             // Deliberately not persisted: engine-side wall-clock timing of
             // the *current* process, meaningless to a recovered successor.
             busy_ns: 0,
@@ -898,7 +928,7 @@ mod tests {
     #[test]
     fn scalar_roundtrips() {
         assert_eq!(from_bytes::<u64>(&to_bytes(&7u64)).unwrap(), 7);
-        assert_eq!(from_bytes::<bool>(&to_bytes(&true)).unwrap(), true);
+        assert!(from_bytes::<bool>(&to_bytes(&true)).unwrap());
         assert_eq!(
             from_bytes::<String>(&to_bytes(&"héllo".to_string())).unwrap(),
             "héllo"
@@ -980,6 +1010,12 @@ mod tests {
             Msg::Ack {
                 cum_seq: 12,
                 epoch: 3,
+                sack: vec![],
+            },
+            Msg::Ack {
+                cum_seq: 12,
+                epoch: 3,
+                sack: vec![(14, 16), (20, 21)],
             },
             Msg::Crash,
             Msg::Evict { site: 2 },
@@ -1030,6 +1066,33 @@ mod tests {
         for m in msgs {
             let back: Msg = from_bytes(&to_bytes(&m)).unwrap();
             assert_eq!(back, m);
+        }
+    }
+
+    #[test]
+    fn malformed_sack_is_refused() {
+        let ack = |cum_seq, sack| Msg::Ack {
+            cum_seq,
+            epoch: 0,
+            sack,
+        };
+        let too_many: Vec<(u64, u64)> = (0..=crate::protocol::SACK_RANGES as u64)
+            .map(|i| (10 + 2 * i, 11 + 2 * i))
+            .collect();
+        for bad in [
+            ack(10, too_many),
+            ack(10, vec![(12, 12)]),           // empty range
+            ack(10, vec![(13, 12)]),           // lo > hi
+            ack(10, vec![(14, 15), (12, 13)]), // descending
+            ack(10, vec![(12, 14), (14, 15)]), // adjacent: one run
+            ack(10, vec![(10, 12)]),           // covers the missing cum_seq
+            ack(10, vec![(3, 5)]),             // below cum_seq
+        ] {
+            assert_eq!(
+                from_bytes::<Msg>(&to_bytes(&bad)),
+                Err(CodecError::Invalid("Ack SACK ranges")),
+                "{bad:?}"
+            );
         }
     }
 

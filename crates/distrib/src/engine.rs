@@ -848,9 +848,10 @@ impl Engine {
         out
     }
 
-    /// Coordinator metrics snapshot, with site-held counters (retransmits)
-    /// aggregated in. Partitioned deployments sum the replicas' counters
-    /// (and take the maximum of high-water marks).
+    /// Coordinator metrics snapshot, with site-held counters (retransmits,
+    /// fast retransmits, refused SACKs, restarts) aggregated in.
+    /// Partitioned deployments sum the replicas' counters (and take the
+    /// maximum of high-water marks).
     pub fn metrics(&self) -> Metrics {
         let Node::Coordinator(c) = self.sim.node(self.coordinator) else {
             unreachable!("coordinator index")
@@ -910,6 +911,8 @@ impl Engine {
         for i in 0..self.coordinator.0 {
             if let Node::Site(s) = self.sim.node(NodeIdx(i)) {
                 m.retransmits += s.retransmits;
+                m.fast_retransmits += s.fast_retransmits;
+                m.sacks_refused += s.sacks_refused;
                 m.site_restarts += s.restarts;
                 m.wal_errors += s.wal_errors;
             }

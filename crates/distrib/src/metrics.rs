@@ -60,6 +60,15 @@ pub struct Metrics {
     /// Messages resent by site retransmission timers (aggregated over
     /// sites by the engine; 0 in a bare coordinator).
     pub retransmits: u64,
+    /// Holes below the highest selectively-acked sequence number that
+    /// sites resent at once, each at most once, instead of waiting for
+    /// their retransmission timers (aggregated over sites by the engine;
+    /// 0 in a bare coordinator).
+    pub fast_retransmits: u64,
+    /// Malformed selective-ack lists sites received and ignored (see
+    /// [`crate::protocol::sack_valid`]; the cumulative part of the ack
+    /// still applies). Aggregated over sites by the engine.
+    pub sacks_refused: u64,
     /// Cumulative acknowledgements the coordinator sent.
     pub acks_sent: u64,
     /// Already-delivered sequence numbers received again (retransmitted or

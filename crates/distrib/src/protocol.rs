@@ -112,6 +112,23 @@ pub struct RelayedEvent {
     pub occ: Occurrence<CompositeTimestamp>,
 }
 
+/// Most selective-ack ranges one [`Msg::Ack`] carries.
+pub const SACK_RANGES: usize = 16;
+
+/// Whether `sack` is a well-formed selective-ack list for an ack at
+/// `cum_seq`: at most [`SACK_RANGES`] non-empty half-open `[lo, hi)`
+/// ranges, ascending with a gap between neighbours (adjacent runs are one
+/// range), all strictly above `cum_seq` (which the receiver is missing).
+pub fn sack_valid(cum_seq: u64, sack: &[(u64, u64)]) -> bool {
+    let mut floor = cum_seq;
+    sack.len() <= SACK_RANGES
+        && sack.iter().all(|&(lo, hi)| {
+            let ok = floor < lo && lo < hi;
+            floor = hi;
+            ok
+        })
+}
+
 /// The wire protocol. Every site→coordinator message carries a per-site
 /// sequence number so the coordinator can reassemble FIFO order over a
 /// reordering network, plus the site's **incarnation epoch** so messages
@@ -169,10 +186,14 @@ pub enum Msg {
         /// instead of deep-copying every occurrence.
         events: Arc<Vec<Occurrence<CompositeTimestamp>>>,
     },
-    /// Cumulative acknowledgement, coordinator → site: every message with
-    /// sequence number `< cum_seq` has been delivered (in order). The site
-    /// trims its retransmit buffer on receipt. Sent on every in-order
-    /// delivery, on every duplicate (so a lost ack is repaired by the
+    /// Cumulative acknowledgement with selective-ack ranges, coordinator →
+    /// site: every message with sequence number `< cum_seq` has been
+    /// delivered (in order), and the receiver holds the messages in `sack`
+    /// parked above it. The site trims its send window below `cum_seq` and
+    /// fast-retransmits, once each, the holes below the highest sacked
+    /// sequence number. Sent on every in-order delivery, on every park that
+    /// opens a new hole (the message just below it is neither delivered
+    /// nor parked), on every duplicate (so a lost ack is repaired by the
     /// retransmission it failed to suppress), and periodically.
     Ack {
         /// The next sequence number the coordinator expects.
@@ -181,6 +202,13 @@ pub enum Msg {
         /// carrying a different epoch: after a restart its sequence space
         /// is fresh, and an old-epoch ack must not trim the new buffer.
         epoch: u64,
+        /// Parked sequence numbers above `cum_seq`: ascending, disjoint,
+        /// half-open `[lo, hi)` ranges, at most [`SACK_RANGES`] of them
+        /// (the lowest ones when more are parked). Empty on a stream with
+        /// no gap. Advisory: the receiver may still drop a parked copy
+        /// (parked-buffer overflow, epoch transition), so only `cum_seq`
+        /// ever releases a message from the send window.
+        sack: Vec<(u64, u64)>,
     },
     /// Rejoin announcement, site → coordinator, sent whenever a site
     /// restarts into a new incarnation (`epoch ≥ 1`). It is itself

@@ -9,13 +9,14 @@ use crate::durability::site_wal::{
     compaction_records, recover_site_state, SiteWalRecord, SiteWalState,
 };
 use crate::durability::WalWriter;
-use crate::protocol::{Msg, RoutedEvent};
+use crate::protocol::{sack_valid, Msg, RoutedEvent};
 use decs_chronos::Nanos;
 use decs_core::{CompositeTimestamp, PrimitiveTimestamp};
 use decs_simnet::{Actor, Ctx, NodeIdx, SplitMix64};
 use decs_snoop::{Detector, EventId, FeedResult, GraphState, Occurrence, TimerId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
 
 const HEARTBEAT_TAG: u64 = 0;
@@ -39,6 +40,131 @@ const TAG_MASK: u64 = (1 << GEN_SHIFT) - 1;
 /// trim the buffer between rounds, so a long outage drains incrementally
 /// instead of flooding the link with one giant burst.
 const RETX_BURST: usize = 64;
+
+/// The send side of one sequence-numbered stream — the classic site →
+/// coordinator stream or one site → replica uplink: the messages it must
+/// keep until they are cumulatively acked, the retransmission backoff,
+/// and the receiver's latest selective-ack view.
+///
+/// Loss is repaired two ways. An ack whose SACK shows a hole below the
+/// highest sacked sequence number fast-retransmits that hole at once,
+/// exactly once. The retransmission timer resends the oldest entries the
+/// receiver has not sacked, so a lost fast-retransmit copy, a lost tail
+/// and a reneged park are all covered. SACK is advisory: only the
+/// cumulative ack ever removes a message.
+#[derive(Debug)]
+struct SendWindow {
+    /// Sent-but-unacked messages by sequence number.
+    unacked: BTreeMap<u64, Msg>,
+    /// Current retransmission backoff (reset to the base whenever an ack
+    /// makes progress).
+    backoff: Nanos,
+    /// Whether the stream's retransmission timer is outstanding.
+    armed: bool,
+    /// The receiver's latest SACK ranges, replaced by every ack. Volatile:
+    /// never logged, cleared by a restart.
+    sacked: Vec<(u64, u64)>,
+    /// Holes already fast-retransmitted, forgotten once the cumulative ack
+    /// passes them.
+    fast_sent: BTreeSet<u64>,
+}
+
+impl SendWindow {
+    fn new(backoff: Nanos) -> Self {
+        SendWindow {
+            unacked: BTreeMap::new(),
+            backoff,
+            armed: false,
+            sacked: Vec::new(),
+            fast_sent: BTreeSet::new(),
+        }
+    }
+
+    /// Keep `msg` until it is cumulatively acked. Returns the delay to arm
+    /// the retransmission timer with, unless it is already armed.
+    fn retain(&mut self, seq: u64, msg: Msg) -> Option<Nanos> {
+        self.unacked.insert(seq, msg);
+        if self.armed {
+            return None;
+        }
+        self.armed = true;
+        Some(self.backoff)
+    }
+
+    /// Retained messages the receiver has not sacked, ascending: the gaps
+    /// below, between and above the SACK ranges.
+    fn unsacked(&self) -> impl Iterator<Item = (&u64, &Msg)> + '_ {
+        let starts = std::iter::once(Bound::Unbounded)
+            .chain(self.sacked.iter().map(|&(_, hi)| Bound::Included(hi)));
+        let ends = self
+            .sacked
+            .iter()
+            .map(|&(lo, _)| Bound::Excluded(lo))
+            .chain(std::iter::once(Bound::Unbounded));
+        starts
+            .zip(ends)
+            .flat_map(move |gap| self.unacked.range::<u64, _>(gap))
+    }
+
+    /// Apply an ack: release everything below `cum_seq`, adopt `sack` as
+    /// the receiver's view, and return whether the cumulative ack made
+    /// progress plus the holes to fast-retransmit — unsacked messages
+    /// below the highest sacked sequence number not fast-sent before.
+    /// `sack` must be well-formed (the gaps between ranges are map ranges).
+    fn on_ack(&mut self, cum_seq: u64, sack: Vec<(u64, u64)>, base: Nanos) -> (bool, Vec<Msg>) {
+        debug_assert!(sack_valid(cum_seq, &sack), "unvalidated SACK {sack:?}");
+        let before = self.unacked.len();
+        self.unacked = self.unacked.split_off(&cum_seq);
+        let progressed = self.unacked.len() < before;
+        if progressed {
+            self.backoff = base;
+        }
+        if self.fast_sent.first().is_some_and(|&s| s < cum_seq) {
+            self.fast_sent = self.fast_sent.split_off(&cum_seq);
+        }
+        self.sacked = sack;
+        let Some(&(_, top)) = self.sacked.last() else {
+            return (progressed, Vec::new());
+        };
+        let (seqs, holes): (Vec<u64>, Vec<Msg>) = self
+            .unsacked()
+            .take_while(|(&seq, _)| seq < top)
+            .filter(|(seq, _)| !self.fast_sent.contains(seq))
+            .map(|(&seq, m)| (seq, m.clone()))
+            .unzip();
+        self.fast_sent.extend(seqs);
+        (progressed, holes)
+    }
+
+    /// A retransmission-timer round: up to [`RETX_BURST`] of the oldest
+    /// unsacked messages, with the backoff doubled (capped — retries never
+    /// stop, so any partition that eventually heals is crossed) and the
+    /// timer marked re-armed. `None` when everything is acked: the timer
+    /// dies until the next send.
+    fn timer_round(&mut self, base: Nanos, cap: Nanos) -> Option<Vec<Msg>> {
+        self.armed = false;
+        if self.unacked.is_empty() {
+            self.backoff = base;
+            return None;
+        }
+        let burst = self
+            .unsacked()
+            .take(RETX_BURST)
+            .map(|(_, m)| m.clone())
+            .collect();
+        self.backoff = Nanos((2 * self.backoff.get()).min(cap.get()));
+        self.armed = true;
+        Some(burst)
+    }
+}
+
+/// Which of a site's streams: the classic coordinator stream, or uplink
+/// `u` to a coordinator replica.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stream {
+    Classic,
+    Uplink(usize),
+}
 
 /// Site-local detection state: a compiled detector plus the mapping from
 /// its event-id space to the coordinator's (synthetic node ids never leave
@@ -78,9 +204,9 @@ impl std::fmt::Debug for LocalDetection {
 }
 
 /// One subscription-routed uplink to a coordinator replica: an
-/// independent sequence-numbered stream with its own staged batch,
-/// retransmit window and backoff, so each site–replica pair reassembles
-/// FIFO order exactly like the classic single-coordinator stream.
+/// independent sequence-numbered stream with its own staged batch and
+/// send window, so each site–replica pair reassembles FIFO order exactly
+/// like the classic single-coordinator stream.
 #[derive(Debug)]
 struct Uplink {
     /// The replica this uplink streams to.
@@ -90,12 +216,8 @@ struct Uplink {
     /// Subscribed occurrences staged since the last flush, in site
     /// stamping order.
     staged: Vec<RoutedEvent>,
-    /// Sent-but-unacked messages by sequence number.
-    retx: BTreeMap<u64, Msg>,
-    /// Current retransmission backoff for this stream.
-    backoff: Nanos,
-    /// Whether this stream's retransmission timer is outstanding.
-    armed: bool,
+    /// Retained unacked messages, backoff and SACK view.
+    window: SendWindow,
 }
 
 /// A site: event source + optional local detector + heartbeat beacon.
@@ -125,15 +247,15 @@ pub struct SiteNode {
     /// up to this bound, then stays there — retries never stop, so any
     /// partition that eventually heals is eventually crossed.
     retx_cap: Nanos,
-    /// Current backoff (reset to `retx_base` whenever an ack makes
-    /// progress).
-    retx_backoff: Nanos,
-    /// Whether a retransmission timer is outstanding.
-    retx_armed: bool,
-    /// Sent-but-unacked messages by sequence number.
-    retx: BTreeMap<u64, Msg>,
-    /// Messages resent by the retransmission timer.
+    /// The classic stream's send window (unused with uplinks).
+    window: SendWindow,
+    /// Messages resent by the retransmission timer (and by a restart's
+    /// backlog burst).
     pub retransmits: u64,
+    /// Holes resent at once on a selective ack (each at most once).
+    pub fast_retransmits: u64,
+    /// Malformed selective-ack lists received and ignored.
+    pub sacks_refused: u64,
     /// Incarnation epoch: 0 for the first incarnation, bumped on every
     /// restart. Stamped on every outbound message so the coordinator can
     /// tell incarnations apart.
@@ -192,10 +314,10 @@ impl SiteNode {
             local_detections: 0,
             retx_base: Nanos::ZERO,
             retx_cap: Nanos::ZERO,
-            retx_backoff: Nanos::ZERO,
-            retx_armed: false,
-            retx: BTreeMap::new(),
+            window: SendWindow::new(Nanos::ZERO),
             retransmits: 0,
+            fast_retransmits: 0,
+            sacks_refused: 0,
             epoch: 0,
             gen: 0,
             restarts: 0,
@@ -231,9 +353,7 @@ impl SiteNode {
                 node,
                 seq: 0,
                 staged: Vec::new(),
-                retx: BTreeMap::new(),
-                backoff: self.retx_base,
-                armed: false,
+                window: SendWindow::new(self.retx_base),
             })
             .collect();
         self.routes = routes;
@@ -307,16 +427,17 @@ impl SiteNode {
     pub fn with_reliability(mut self, base: Nanos, cap: Nanos) -> Self {
         self.retx_base = base;
         self.retx_cap = Nanos(cap.get().max(base.get()));
-        self.retx_backoff = base;
+        self.window.backoff = base;
         for up in &mut self.uplinks {
-            up.backoff = base;
+            up.window.backoff = base;
         }
         self
     }
 
-    /// Number of sent-but-unacked messages held for retransmission.
+    /// Number of sent-but-unacked messages the classic stream holds for
+    /// retransmission.
     pub fn unacked(&self) -> usize {
-        self.retx.len()
+        self.window.unacked.len()
     }
 
     /// Switch the site to batched notifications flushed every `interval`
@@ -395,20 +516,12 @@ impl SiteNode {
     /// Send a sequence-numbered message on uplink `u`, retaining it for
     /// retransmission until cumulatively acked (when reliability is on).
     fn send_uplink(&mut self, u: usize, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        let retx_on = self.retx_base.get() > 0;
-        let tag = self.gen_tag(PART_RETX_BASE + u as u64);
         let up = &mut self.uplinks[u];
         let seq = up.seq;
         up.seq += 1;
-        if retx_on {
-            up.retx.insert(seq, msg.clone());
-            if !up.armed {
-                up.armed = true;
-                let delay = up.backoff;
-                ctx.set_timer(delay, tag);
-            }
-        }
-        ctx.send(up.node, msg);
+        let node = up.node;
+        self.retain(Stream::Uplink(u), seq, &msg, ctx);
+        ctx.send(node, msg);
     }
 
     /// Flush uplink `u`: one `Msg::Routed` carrying everything staged for
@@ -450,121 +563,116 @@ impl SiteNode {
         ctx.set_timer(interval, self.gen_tag(tag));
     }
 
-    /// Cumulative ack from replica `from`: trim that uplink's window.
-    fn on_ack_uplink(&mut self, from: NodeIdx, cum_seq: u64, epoch: u64) {
-        if epoch != self.epoch || self.retx_base.get() == 0 {
-            return;
-        }
-        let Some(u) = self.uplinks.iter().position(|up| up.node == from) else {
-            return;
-        };
-        let base = self.retx_base;
-        let up = &mut self.uplinks[u];
-        let before = up.retx.len();
-        up.retx = up.retx.split_off(&cum_seq);
-        if up.retx.len() < before {
-            up.backoff = base;
+    /// The send window of stream `s` and the node it streams to.
+    fn stream(&mut self, s: Stream) -> (&mut SendWindow, NodeIdx) {
+        match s {
+            Stream::Classic => (&mut self.window, self.coordinator),
+            Stream::Uplink(u) => {
+                let up = &mut self.uplinks[u];
+                (&mut up.window, up.node)
+            }
         }
     }
 
-    /// Retransmission round for uplink `u` (see
-    /// [`Self::retransmit_round`] — same burst/backoff discipline, scoped
-    /// to one replica stream).
-    fn retransmit_uplink(&mut self, u: usize, ctx: &mut Ctx<'_, Msg>) {
-        let base = self.retx_base;
-        let cap = self.retx_cap;
-        let tag = self.gen_tag(PART_RETX_BASE + u as u64);
-        let crashed = self.crashed;
-        let up = &mut self.uplinks[u];
-        up.armed = false;
-        if crashed {
-            return;
-        }
-        if up.retx.is_empty() {
-            up.backoff = base;
-            return;
-        }
-        let mut resent = 0u64;
-        let node = up.node;
-        let burst: Vec<Msg> = up.retx.values().take(RETX_BURST).cloned().collect();
-        for msg in burst {
-            resent += 1;
-            ctx.send(node, msg);
-        }
-        self.retransmits += resent;
-        let up = &mut self.uplinks[u];
-        up.backoff = Nanos((2 * up.backoff.get()).min(cap.get()));
-        up.armed = true;
-        let delay = match self.jitter_rng.as_mut() {
-            Some(rng) => Nanos(rng.jitter(
-                self.uplinks[u].backoff.get(),
-                self.uplinks[u].backoff.get() / 4,
-            )),
-            None => self.uplinks[u].backoff,
-        };
-        ctx.set_timer(delay, tag);
+    /// Stream `s`'s retransmission timer tag.
+    fn retx_tag(&self, s: Stream) -> u64 {
+        self.gen_tag(match s {
+            Stream::Classic => RETX_TAG,
+            Stream::Uplink(u) => PART_RETX_BASE + u as u64,
+        })
     }
 
-    /// Send a sequence-numbered message, retaining a copy for
-    /// retransmission until it is cumulatively acked (when reliability is
-    /// enabled).
+    /// Retain a sent message in stream `s`'s window (when reliability is
+    /// on), arming the stream's retransmission timer if it is idle.
+    fn retain(&mut self, s: Stream, seq: u64, msg: &Msg, ctx: &mut Ctx<'_, Msg>) {
+        if self.retx_base.get() == 0 {
+            return;
+        }
+        let tag = self.retx_tag(s);
+        if let Some(delay) = self.stream(s).0.retain(seq, msg.clone()) {
+            ctx.set_timer(delay, tag);
+        }
+    }
+
+    /// Send a sequence-numbered message on the classic stream, retaining a
+    /// copy for retransmission until it is cumulatively acked (when
+    /// reliability is enabled).
     fn send_seq(&mut self, seq: u64, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
         // Log-before-send: the allocation is durable before the message
         // is observable, so recovery's retransmit buffer is a superset of
         // anything the coordinator could have received.
         self.wal_log(&SiteWalRecord::Sent { msg: msg.clone() });
-        if self.retx_base.get() > 0 {
-            self.retx.insert(seq, msg.clone());
-            if !self.retx_armed {
-                self.retx_armed = true;
-                ctx.set_timer(self.retx_backoff, self.gen_tag(RETX_TAG));
-            }
-        }
+        self.retain(Stream::Classic, seq, &msg, ctx);
         ctx.send(self.coordinator, msg);
     }
 
-    /// Trim the retransmit buffer on a cumulative ack; progress resets the
-    /// backoff to its base. Acks stamped by a previous incarnation's
-    /// traffic are ignored — after a non-durable restart the sequence
-    /// space restarted from 0, and an old ack would wrongly release new
+    /// An ack from `from`: trim the acked stream's window (progress resets
+    /// its backoff), adopt its SACK view and fast-retransmit the holes it
+    /// reveals. A malformed SACK is counted and ignored; the cumulative
+    /// part still applies. Acks stamped by a previous incarnation's traffic
+    /// are ignored — after a non-durable restart the sequence space
+    /// restarted from 0, and an old ack would wrongly release new
     /// allocations that happen to share numbers.
-    fn on_ack(&mut self, cum_seq: u64, epoch: u64) {
+    fn on_ack(
+        &mut self,
+        from: NodeIdx,
+        cum_seq: u64,
+        epoch: u64,
+        mut sack: Vec<(u64, u64)>,
+        ctx: &mut Ctx<'_, Msg>,
+    ) {
+        if !sack_valid(cum_seq, &sack) {
+            self.sacks_refused += 1;
+            sack.clear();
+        }
         if epoch != self.epoch || self.retx_base.get() == 0 {
             return;
         }
-        let before = self.retx.len();
-        self.retx = self.retx.split_off(&cum_seq);
-        if self.retx.len() < before {
-            self.retx_backoff = self.retx_base;
+        let s = if self.partitioned() {
+            match self.uplinks.iter().position(|up| up.node == from) {
+                Some(u) => Stream::Uplink(u),
+                None => return,
+            }
+        } else {
+            Stream::Classic
+        };
+        let base = self.retx_base;
+        let (window, to) = self.stream(s);
+        let (progressed, holes) = window.on_ack(cum_seq, sack, base);
+        if progressed && s == Stream::Classic {
             self.wal_log(&SiteWalRecord::Acked { cum_seq });
+        }
+        self.fast_retransmits += holes.len() as u64;
+        for msg in holes {
+            ctx.send(to, msg);
         }
     }
 
-    /// Retransmission round: resend the oldest unacked messages and back
-    /// off exponentially (capped — retries continue forever, so healing
-    /// partitions are always eventually crossed).
-    fn retransmit_round(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        self.retx_armed = false;
-        if self.crashed {
+    /// Retransmission round for stream `s`: resend the oldest unsacked
+    /// messages and back off exponentially, jittered when seeded.
+    fn retransmit_round(&mut self, s: Stream, ctx: &mut Ctx<'_, Msg>) {
+        let (base, cap, crashed) = (self.retx_base, self.retx_cap, self.crashed);
+        let tag = self.retx_tag(s);
+        let (window, to) = self.stream(s);
+        if crashed {
+            window.armed = false;
             return; // the site is dead: nothing is ever resent.
         }
-        if self.retx.is_empty() {
-            self.retx_backoff = self.retx_base;
-            return; // fully acked: the timer dies until the next send.
+        let Some(burst) = window.timer_round(base, cap) else {
+            return;
+        };
+        let backoff = window.backoff;
+        self.retransmits += burst.len() as u64;
+        for msg in burst {
+            ctx.send(to, msg);
         }
-        for msg in self.retx.values().take(RETX_BURST) {
-            self.retransmits += 1;
-            ctx.send(self.coordinator, msg.clone());
-        }
-        self.retx_backoff = Nanos((2 * self.retx_backoff.get()).min(self.retx_cap.get()));
-        self.retx_armed = true;
         // Jitter the next round (±backoff/8) so sites that lost the same
         // link don't hammer the coordinator in lockstep when it heals.
         let delay = match self.jitter_rng.as_mut() {
-            Some(rng) => Nanos(rng.jitter(self.retx_backoff.get(), self.retx_backoff.get() / 4)),
-            None => self.retx_backoff,
+            Some(rng) => Nanos(rng.jitter(backoff.get(), backoff.get() / 4)),
+            None => backoff,
         };
-        ctx.set_timer(delay, self.gen_tag(RETX_TAG));
+        ctx.set_timer(delay, tag);
     }
 
     /// Absorb a local feed result: count + forward detections, schedule
@@ -672,9 +780,7 @@ impl SiteNode {
         self.gen += 1;
         self.restarts += 1;
         self.pending.clear();
-        self.retx.clear();
-        self.retx_armed = false;
-        self.retx_backoff = self.retx_base;
+        self.window = SendWindow::new(self.retx_base);
         self.seq = 0;
         let pristine = self.local_pristine.clone();
         if let Some(local) = &mut self.local {
@@ -697,7 +803,7 @@ impl SiteNode {
                 Ok((st, _scan)) => {
                     prior_epoch = prior_epoch.max(st.epoch);
                     self.seq = st.next_seq;
-                    self.retx = st.retx;
+                    self.window.unacked = st.retx;
                     self.pending = st.staged;
                 }
                 Err(e) => self.wal_io_error(e),
@@ -709,7 +815,7 @@ impl SiteNode {
         // restart must not announce this epoch a second time — it degrades
         // to a heartbeat in the same sequence slot, which keeps the slot
         // filled and still carries its watermark promise.
-        for m in self.retx.values_mut() {
+        for m in self.window.unacked.values_mut() {
             match m {
                 Msg::Event { epoch, .. }
                 | Msg::Heartbeat { epoch, .. }
@@ -730,7 +836,7 @@ impl SiteNode {
             let img = SiteWalState {
                 epoch: self.epoch,
                 next_seq: self.seq,
-                retx: self.retx.clone(),
+                retx: self.window.unacked.clone(),
                 staged: self.pending.clone(),
             };
             match Self::rewrite_wal(&dir, &img) {
@@ -748,9 +854,7 @@ impl SiteNode {
             for up in &mut self.uplinks {
                 up.seq = 0;
                 up.staged.clear();
-                up.retx.clear();
-                up.armed = false;
-                up.backoff = self.retx_base;
+                up.window = SendWindow::new(self.retx_base);
             }
             let watermark = ctx.stamp().map(|p| p.global.get()).unwrap_or(0);
             let epoch = self.epoch;
@@ -778,7 +882,13 @@ impl SiteNode {
         // backlog burst is snapshotted first so it excludes the Hello
         // itself, but sent after it: on in-order links the epoch
         // transition precedes every retagged message.
-        let burst: Vec<Msg> = self.retx.values().take(RETX_BURST).cloned().collect();
+        let burst: Vec<Msg> = self
+            .window
+            .unacked
+            .values()
+            .take(RETX_BURST)
+            .cloned()
+            .collect();
         let watermark = ctx.stamp().map(|p| p.global.get()).unwrap_or(0);
         let seq = self.next_seq();
         let epoch = self.epoch;
@@ -855,13 +965,11 @@ impl Actor for SiteNode {
                     Err(_) => self.dropped_pre_epoch += 1,
                 }
             }
-            Msg::Ack { cum_seq, epoch } => {
-                if self.partitioned() {
-                    self.on_ack_uplink(from, cum_seq, epoch);
-                } else {
-                    self.on_ack(cum_seq, epoch);
-                }
-            }
+            Msg::Ack {
+                cum_seq,
+                epoch,
+                sack,
+            } => self.on_ack(from, cum_seq, epoch, sack, ctx),
             // Sites do not receive protocol traffic in the star topology.
             Msg::Event { .. }
             | Msg::Heartbeat { .. }
@@ -894,13 +1002,13 @@ impl Actor for SiteNode {
             return;
         }
         if tag == RETX_TAG {
-            self.retransmit_round(ctx);
+            self.retransmit_round(Stream::Classic, ctx);
             return;
         }
         if (PART_RETX_BASE..LOCAL_TIMER_BASE).contains(&tag) {
             let u = (tag - PART_RETX_BASE) as usize;
             if u < self.uplinks.len() {
-                self.retransmit_uplink(u, ctx);
+                self.retransmit_round(Stream::Uplink(u), ctx);
             }
             return;
         }
@@ -931,15 +1039,18 @@ mod tests {
     use decs_simnet::{LinkConfig, Simulation, SiteTimeSource};
     use decs_snoop::EventId;
 
+    /// (seq, watermark, events) of one received batch.
+    type ReceivedBatch = (
+        u64,
+        u64,
+        std::sync::Arc<Vec<Occurrence<CompositeTimestamp>>>,
+    );
+
     #[derive(Debug, Default)]
     struct Collector {
         events: Vec<(u64, Occurrence<CompositeTimestamp>)>,
         heartbeats: Vec<(u64, u64)>,
-        batches: Vec<(
-            u64,
-            u64,
-            std::sync::Arc<Vec<Occurrence<CompositeTimestamp>>>,
-        )>,
+        batches: Vec<ReceivedBatch>,
         /// (seq, epoch, watermark) of every Hello received.
         hellos: Vec<(u64, u64, u64)>,
     }
@@ -1172,6 +1283,7 @@ mod tests {
             Msg::Ack {
                 cum_seq: 1_000,
                 epoch: 0,
+                sack: vec![],
             },
         );
         sim.run_until(Nanos(1_500_000_000));
@@ -1299,5 +1411,131 @@ mod tests {
             .count();
         assert!(dups >= 2, "backlog not resent: {replayed:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A window holding heartbeats `seqs`, armed at backoff 100 ms.
+    fn window(seqs: std::ops::Range<u64>) -> SendWindow {
+        let mut w = SendWindow::new(Nanos::from_millis(100));
+        for seq in seqs {
+            w.retain(
+                seq,
+                Msg::Heartbeat {
+                    seq,
+                    epoch: 0,
+                    watermark: 0,
+                },
+            );
+        }
+        w
+    }
+
+    fn seqs(msgs: &[Msg]) -> Vec<u64> {
+        msgs.iter()
+            .map(|m| match m {
+                Msg::Heartbeat { seq, .. } => *seq,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn each_hole_is_fast_retransmitted_once() {
+        let base = Nanos::from_millis(100);
+        let mut w = window(0..10);
+        // Holes below the highest sacked number (7): 2, 3 and 5.
+        let (progressed, holes) = w.on_ack(2, vec![(4, 5), (6, 7)], base);
+        assert!(progressed);
+        assert_eq!(seqs(&holes), [2, 3, 5]);
+        // The same view again, or one that only grows a range: nothing new.
+        assert!(w.on_ack(2, vec![(4, 5), (6, 7)], base).1.is_empty());
+        assert!(w.on_ack(2, vec![(4, 5), (6, 8)], base).1.is_empty());
+        // A higher sacked range exposes only the one hole not yet resent.
+        let (_, holes) = w.on_ack(3, vec![(4, 5), (6, 8), (9, 10)], base);
+        assert_eq!(seqs(&holes), [8]);
+        assert_eq!(w.unacked.len(), 7, "SACK never removes a message");
+    }
+
+    #[test]
+    fn timer_round_skips_sacked_entries() {
+        let base = Nanos::from_millis(100);
+        let mut w = window(0..6);
+        w.on_ack(0, vec![(2, 4)], base);
+        let burst = w.timer_round(base, Nanos::from_millis(800)).unwrap();
+        assert_eq!(seqs(&burst), [0, 1, 4, 5]);
+        assert_eq!(w.backoff, Nanos::from_millis(200));
+        assert!(w.armed);
+    }
+
+    #[test]
+    fn reneged_park_is_resent_by_the_timer() {
+        // The receiver sacked [2, 5), then dropped 4 on a parked-buffer
+        // overflow: its next ack no longer sacks 4, so the timer resends
+        // 4 along with the fast-retransmitted hole 1, whose copy may have
+        // been lost too.
+        let base = Nanos::from_millis(100);
+        let mut w = window(0..6);
+        assert_eq!(seqs(&w.on_ack(1, vec![(2, 5)], base).1), [1]);
+        assert!(w.on_ack(1, vec![(2, 4)], base).1.is_empty());
+        let burst = w.timer_round(base, base).unwrap();
+        assert_eq!(seqs(&burst), [1, 4, 5]);
+    }
+
+    #[test]
+    fn site_fast_retransmits_sacked_holes_and_refuses_malformed_sacks() {
+        let coord = NodeIdx(1);
+        let nodes = vec![
+            (
+                Node::Site(
+                    SiteNode::new(coord, Nanos::from_millis(100))
+                        .with_reliability(Nanos::from_secs(5), Nanos::from_secs(5)),
+                ),
+                source(0),
+            ),
+            (Node::Collector(Collector::default()), source(1)),
+        ];
+        let mut sim = Simulation::new(nodes, LinkConfig::instant(), 1);
+        // No `Start`: the stream carries only the five events, seqs 0..5.
+        for k in 0..5u64 {
+            sim.inject(
+                Nanos(1_000_000_000 + k * 1_000_000),
+                NodeIdx(0),
+                Msg::Inject {
+                    ty: EventId(7),
+                    values: vec![],
+                },
+            );
+        }
+        let ack = |cum_seq, sack| Msg::Ack {
+            cum_seq,
+            epoch: 0,
+            sack,
+        };
+        // Holes 1 and 3 are resent once, however often the view repeats.
+        sim.inject(
+            Nanos(1_100_000_000),
+            NodeIdx(0),
+            ack(1, vec![(2, 3), (4, 5)]),
+        );
+        sim.inject(
+            Nanos(1_200_000_000),
+            NodeIdx(0),
+            ack(1, vec![(2, 3), (4, 5)]),
+        );
+        // A SACK claiming the missing cum_seq is refused; its cumulative
+        // part still trims the window.
+        sim.inject(Nanos(1_300_000_000), NodeIdx(0), ack(2, vec![(2, 4)]));
+        sim.run_until(Nanos(1_500_000_000));
+        let Node::Site(s) = sim.node(NodeIdx(0)) else {
+            panic!()
+        };
+        assert_eq!(s.fast_retransmits, 2);
+        assert_eq!(s.retransmits, 0, "the timer never fired");
+        assert_eq!(s.sacks_refused, 1);
+        assert_eq!(s.unacked(), 3);
+        let Node::Collector(c) = sim.node(coord) else {
+            panic!()
+        };
+        let got: Vec<u64> = c.events.iter().map(|(seq, _)| *seq).collect();
+        assert_eq!(got, [0, 1, 2, 3, 4, 1, 3]);
     }
 }

@@ -893,6 +893,6 @@ mod parallel_tests {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut d = build(false); // 8 shards
         d.enable_pool(64);
-        assert_eq!(d.worker_count(), 64.min(hw).min(8).max(1));
+        assert_eq!(d.worker_count(), 64.min(hw).clamp(1, 8));
     }
 }

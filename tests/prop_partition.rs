@@ -192,10 +192,12 @@ fn replica_crash_and_recovery_is_invisible() {
         let replicas = 2 + (seed % 2) as usize * 2; // N = 2 or 4
         let victim = rng.next_below(replicas as u64) as usize;
 
-        let mut config = EngineConfig::default();
-        config.coordinator_replicas = replicas;
-        config.durability = true;
-        config.wal_dir = Some(dir.to_string_lossy().into_owned());
+        let config = EngineConfig {
+            coordinator_replicas: replicas,
+            durability: true,
+            wal_dir: Some(dir.to_string_lossy().into_owned()),
+            ..EngineConfig::default()
+        };
         let d = defs();
         let mut e = Engine::new(&scenario(seed), config, &["A", "B", "C"], &d).unwrap();
         inject_all(&mut e, &w);

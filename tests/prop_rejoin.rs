@@ -13,7 +13,11 @@
 //!
 //! 72 schedules run across the three `rejoin_schedules_*` tests — 6 seeds
 //! × {buffer GC on/off} × {plan sharing on/off} × {workers 1/2/4} — so the
-//! equality holds across every coordinator execution mode.
+//! equality holds across every coordinator execution mode. Each block also
+//! runs one fixed schedule, in every mode, that is known to exercise the
+//! incarnation-epoch filter: the victim's link is down across its restart,
+//! so its `Hello` is lost and new-incarnation traffic races ahead of the
+//! retransmitted copy.
 //!
 //! Two directed properties cover the eviction interaction:
 //! * an auto-evicted site that later rejoins un-pins its watermark, clears
@@ -131,7 +135,65 @@ fn rejoin_case(seed: u64, cfg: (bool, bool, usize)) -> (u64, u64) {
     let restart_ms = rng.next_range(crash_ms + 500, 5_000);
     let t_crash = Nanos(crash_ms * 1_000_000 + 500_000);
     let t_restart = Nanos(restart_ms * 1_000_000 + 500_000);
+    run_schedule(seed, cfg, &w, victim, t_crash, t_restart, |faulty| {
+        for site in 0..SITES {
+            let drop_ppm = rng.next_below(100_001) as u32; // ≤ 10%
+            let dup_ppm = rng.next_below(50_001) as u32; // ≤ 5%
+            faulty.set_link_pair(site, LinkConfig::lan().with_faults(drop_ppm, dup_ppm));
+        }
+    })
+}
 
+/// The fixed epoch-filter schedule: site 0 crashes at 1.5 s and restarts
+/// at 2.0 s while its link is down over [1.99 s, 2.1 s). The `Hello` and
+/// the recovered backlog behind it are lost; once the link heals, the new
+/// incarnation's heartbeats and its 2.15 s event reach the coordinator
+/// before the retransmission timer resends the `Hello`, so the coordinator
+/// must drop them by epoch (and the site must resend them after it).
+fn lost_hello_case(cfg: (bool, bool, usize)) -> (u64, u64) {
+    let victim = 0u32;
+    let w: Vec<(u64, u32, &'static str)> = vec![
+        (500, 0, "A"),
+        (800, 1, "B"),
+        (1_000, 2, "C"),
+        (1_200, 0, "A"),
+        (1_700, 0, "B"), // downtime: dropped by the dead site
+        (2_150, 0, "B"), // races ahead of the retransmitted Hello
+        (2_300, 1, "A"),
+        (2_600, 2, "C"),
+        (2_900, 0, "B"),
+    ];
+    let (retransmits, filtered) = run_schedule(
+        6, // scenario seed, outside 0..6 so the WAL directory is its own
+        cfg,
+        &w,
+        victim,
+        Nanos(1_500_500_000),
+        Nanos(2_000_500_000),
+        |faulty| {
+            faulty.partition_site(victim, Nanos::from_millis(1_990), Nanos::from_millis(2_100));
+        },
+    );
+    assert!(
+        filtered > 0,
+        "cfg {cfg:?}: traffic ahead of the lost Hello was not epoch-filtered"
+    );
+    (retransmits, filtered)
+}
+
+/// Run workload `w` through a fault-free engine and through a durable one
+/// whose `victim` crashes at `t_crash` and restarts at `t_restart`, with
+/// `faults` applied to the faulty engine's links, and assert the rejoin is
+/// invisible to detection. Returns (retransmits, epoch-filtered).
+fn run_schedule(
+    seed: u64,
+    cfg: (bool, bool, usize),
+    w: &[(u64, u32, &'static str)],
+    victim: u32,
+    t_crash: Nanos,
+    t_restart: Nanos,
+    faults: impl FnOnce(&mut Engine),
+) -> (u64, u64) {
     // Oracle: the fault-free run never sees the injections the dead site
     // dropped during its downtime.
     let clean_w: Vec<(u64, u32, &'static str)> = w
@@ -150,14 +212,10 @@ fn rejoin_case(seed: u64, cfg: (bool, bool, usize)) -> (u64, u64) {
     let dir = wal_dir(&format!("{seed}-{}{}{workers}", gc as u8, sharing as u8));
     let _ = std::fs::remove_dir_all(&dir);
     let mut faulty = engine(seed, cfg, false, Some(&dir));
-    for site in 0..SITES {
-        let drop_ppm = rng.next_below(100_001) as u32; // ≤ 10%
-        let dup_ppm = rng.next_below(50_001) as u32; // ≤ 5%
-        faulty.set_link_pair(site, LinkConfig::lan().with_faults(drop_ppm, dup_ppm));
-    }
+    faults(&mut faulty);
     faulty.crash_site(t_crash, victim);
     faulty.restart_site(t_restart, victim);
-    inject_all(&mut faulty, &w);
+    inject_all(&mut faulty, w);
     let faulty_det = keys(faulty.run_for(Nanos::from_secs(HORIZON_SECS)));
 
     assert_eq!(
@@ -194,6 +252,9 @@ fn run_block(configs: &[(bool, bool, usize)]) {
             retransmits += r;
             filtered += f;
         }
+        let (r, f) = lost_hello_case(cfg);
+        retransmits += r;
+        filtered += f;
     }
     // The schedules must actually exercise the machinery: recovered
     // backlogs were retransmitted and old-incarnation stragglers were

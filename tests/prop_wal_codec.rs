@@ -13,8 +13,15 @@
 //!   from the damaged one onward (everything before is still recovered).
 //! * **Garbage** — scanning arbitrary random bytes never panics and the
 //!   decoder never allocates from an attacker-sized length prefix.
+//! * **Selective acks** — an ack with any well-formed SACK list
+//!   round-trips exactly, bare and framed; every malformed list (too many
+//!   ranges, an empty or inverted range, ranges out of order or touching,
+//!   a range at or below `cum_seq`) is refused without a panic.
 
-use decs::distrib::durability::{frame_record, scan_bytes, WalRecord, WalTail};
+use decs::distrib::durability::{
+    frame_record, from_bytes, scan_bytes, to_bytes, CodecError, WalRecord, WalTail,
+};
+use decs::distrib::protocol::{sack_valid, SACK_RANGES};
 use decs::distrib::Msg;
 use decs::snoop::{EventId, Occurrence, Value};
 use decs_testkit::{check, i64_in, pick, vec_of, SplitMix64};
@@ -265,5 +272,103 @@ fn corrupting_a_crc_costs_only_the_suffix() {
             "tail must be corrupt"
         );
         assert_eq!(scan.valid_len, boundaries[k] as u64);
+    });
+}
+
+/// A well-formed ack: up to [`SACK_RANGES`] ascending, disjoint,
+/// non-adjacent half-open ranges strictly above `cum_seq`.
+fn sack_ack(rng: &mut SplitMix64) -> (u64, u64, Vec<(u64, u64)>) {
+    let cum_seq = rng.next_range(0, 999);
+    let epoch = rng.next_range(0, 3);
+    let mut floor = cum_seq;
+    let sack = vec_of(rng, 0, SACK_RANGES, |r| {
+        let lo = floor + r.next_range(1, 9);
+        let hi = lo + r.next_range(1, 9);
+        floor = hi;
+        (lo, hi)
+    });
+    (cum_seq, epoch, sack)
+}
+
+#[test]
+fn ack_with_sack_roundtrips() {
+    check("ack_with_sack_roundtrips", CASES, |rng| {
+        let (cum_seq, epoch, sack) = sack_ack(rng);
+        assert!(sack_valid(cum_seq, &sack), "{cum_seq} {sack:?}");
+        let ack = Msg::Ack {
+            cum_seq,
+            epoch,
+            sack,
+        };
+        assert_eq!(from_bytes::<Msg>(&to_bytes(&ack)), Ok(ack.clone()));
+        let records = vec![WalRecord::Delivered {
+            site: 0,
+            at: 1,
+            msg: ack,
+        }];
+        let (bytes, _) = image(&records);
+        let scan = scan_bytes(&bytes);
+        assert_eq!(scan.records, records);
+        assert_eq!(scan.tail, WalTail::Clean);
+    });
+}
+
+#[test]
+fn malformed_sack_is_refused() {
+    check("malformed_sack_is_refused", CASES, |rng| {
+        let (cum_seq, epoch, mut sack) = sack_ack(rng);
+        // Break the list in one of five ways.
+        match rng.next_below(5) {
+            0 => {
+                // One range too many.
+                let mut floor = sack.last().map_or(cum_seq, |&(_, hi)| hi);
+                while sack.len() <= SACK_RANGES {
+                    sack.push((floor + 1, floor + 2));
+                    floor += 2;
+                }
+            }
+            1 => {
+                // An empty or inverted range.
+                let lo = sack.last().map_or(cum_seq, |&(_, hi)| hi) + 1;
+                sack.truncate(SACK_RANGES - 1);
+                sack.push((lo, lo - rng.next_range(0, 1)));
+            }
+            2 => {
+                // A range that starts before its predecessor ends or
+                // touches it.
+                let (_, hi) = *sack.last().unwrap_or(&(cum_seq + 1, cum_seq + 2));
+                sack.truncate(SACK_RANGES - 2);
+                if sack.is_empty() {
+                    sack.push((cum_seq + 1, hi));
+                }
+                let (plo, phi) = *sack.last().expect("non-empty");
+                sack.push((rng.next_range(plo, phi), phi + 1));
+            }
+            3 => {
+                // The first range covers the missing `cum_seq` or lies
+                // below it.
+                let lo = rng.next_range(0, cum_seq);
+                sack.insert(0, (lo, lo + 1));
+                sack.truncate(SACK_RANGES);
+            }
+            _ => {
+                // Descending order.
+                if sack.len() < 2 {
+                    sack = vec![(cum_seq + 4, cum_seq + 5), (cum_seq + 1, cum_seq + 2)];
+                } else {
+                    sack.reverse();
+                }
+            }
+        }
+        assert!(!sack_valid(cum_seq, &sack), "{cum_seq} {sack:?}");
+        let ack = Msg::Ack {
+            cum_seq,
+            epoch,
+            sack,
+        };
+        assert_eq!(
+            from_bytes::<Msg>(&to_bytes(&ack)),
+            Err(CodecError::Invalid("Ack SACK ranges"))
+        );
     });
 }
