@@ -1,21 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a change must pass before it lands.
 # Run from the repository root.
-#
-# --miri additionally runs the unsafe lock-free SPSC ring (decs-snoop's
-# spsc module) under Miri, which catches data races and UB that tests on
-# real hardware can miss. Soft-skipped when the toolchain has no miri
-# component (e.g. offline containers) so the gate stays runnable
-# anywhere.
 set -euo pipefail
-
-RUN_MIRI=0
-for arg in "$@"; do
-    case "$arg" in
-        --miri) RUN_MIRI=1 ;;
-        *) echo "ci.sh: unknown flag $arg" >&2; exit 2 ;;
-    esac
-done
 
 # Zero third-party crates: every package in the lockfile is a workspace
 # member. A `source =` line means a registry crate came back.
@@ -28,25 +14,14 @@ fi
 # Every cargo command runs --offline: the workspace has nothing to fetch
 # (`cargo fmt` resolves no dependencies and takes no such flag).
 cargo build --release --offline
-cargo test -q --offline
-cargo clippy --offline --all-targets -- -D warnings
+cargo test -q --offline --workspace
+cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo fmt --check
-
-# The worker pool is feature-gated; build and test the whole workspace
-# with it on (includes the ≥128-case staged-parallel == serial suite).
-cargo test -q --offline --workspace --features parallel
-cargo clippy --offline --workspace --all-targets --features parallel -- -D warnings
 
 # Bench smoke: re-measures the hot-path kernels and validates the
 # committed BENCH_hotpath.json baseline (fails on malformed JSON or a
 # >2x regression of any fast kernel).
 cargo run --offline --release -p decs-bench --bin hotpath -- --smoke
-
-# Worker-pool smoke: re-runs the scaling workloads (asserting pooled ==
-# serial determinism at every worker count) and validates the committed
-# BENCH_parallel.json baseline; the ≥2x-at-4-workers check is enforced
-# only when the baseline machine had ≥4 threads (stamped in the JSON).
-cargo run --offline --release -p decs-bench --features parallel --bin parallel -- --smoke
 
 # Chaos smoke: re-runs the lossy-network matrix and the crash/restart
 # schedules (hard-asserting that detections at every drop rate — and
@@ -56,17 +31,17 @@ cargo run --offline --release -p decs-bench --features parallel --bin parallel -
 cargo run --offline --release -p decs-bench --bin chaos -- --smoke
 
 # Plan-sharing smoke: re-runs the overlap matrix (hard-asserting that the
-# shared plan and independent compilation detect identically at every
-# overlap point) and validates the committed BENCH_sharing.json baseline
-# (fails on malformed JSON or a 50%-overlap speedup below 1.5x).
+# shared plan and the unshared reference interpreter detect identically
+# at every overlap point) and validates the committed BENCH_sharing.json
+# baseline (fails on malformed JSON or a 50%-overlap speedup below 1.5x).
 cargo run --offline --release -p decs-bench --bin sharing -- --smoke
 
 # Ingest smoke: re-runs the columnar-vs-per-event legs (hard-asserting
-# bit-identical detections on every leg) and validates the committed
-# BENCH_ingest.json baseline (fails on malformed JSON, a single-thread
-# columnar throughput under the 0.2 Meps floor, or — on the same machine
-# class — a >20% relative regression against the baseline).
-cargo run --offline --release -p decs-bench --features parallel --bin ingest -- --smoke
+# bit-identical detections) and validates the committed
+# BENCH_ingest.json baseline (fails on malformed JSON, a columnar
+# throughput under the 0.2 Meps floor, or — on the same machine class —
+# a >20% relative regression against the baseline).
+cargo run --offline --release -p decs-bench --bin ingest -- --smoke
 
 # Recovery smoke: kills the coordinator mid-run at every snapshot
 # interval (hard-asserting post-recovery detections match an
@@ -86,20 +61,5 @@ cargo run --offline --release -p decs-bench --bin partition -- --smoke
 # regression of a width-32 kernel, or a baseline width-32 speedup
 # below 5x).
 cargo run --offline --release -p decs-bench --bin timewidth -- --smoke
-
-# Miri over the hand-rolled unsafe concurrency (opt-in: --miri). The
-# SPSC ring in decs-snoop is the only unsafe cross-thread code in the
-# tree; Miri validates its acquire/release protocol instruction by
-# instruction.
-if [[ "$RUN_MIRI" == 1 ]]; then
-    # `cargo miri --version` is the authoritative probe: the rustup shim
-    # can be on PATH with the component itself absent.
-    if cargo miri --version >/dev/null 2>&1; then
-        MIRIFLAGS="-Zmiri-strict-provenance" \
-            cargo miri test --offline -p decs-snoop --features parallel spsc
-    else
-        echo "ci.sh: miri not installed — skipping the SPSC Miri pass" >&2
-    fi
-fi
 
 echo "ci.sh: all tier-1 checks passed"

@@ -186,7 +186,6 @@ struct LatencyRow {
     sharing_ratio: f64,
     batch_ingest_events: u64,
     arena_bytes: u64,
-    ring_full_spins: u64,
 }
 
 /// Distributed-engine leg: the NOT workload across 4 sites, GC on or off.
@@ -240,7 +239,6 @@ fn latency_run(buffer_gc: bool) -> LatencyRow {
         sharing_ratio: m.sharing_ratio,
         batch_ingest_events: m.batch_ingest_events,
         arena_bytes: m.arena_bytes,
-        ring_full_spins: m.ring_full_spins,
     }
 }
 
@@ -300,7 +298,7 @@ fn render_json(
              \"acks_sent\": {}, \"duplicates_dropped\": {}, \"parked_peak\": {}, \
              \"suspect_sites\": {}, \"plan_nodes\": {}, \"shared_nodes\": {}, \
              \"sharing_ratio\": {:.3}, \"batch_ingest_events\": {}, \
-             \"arena_bytes\": {}, \"ring_full_spins\": {}}}{comma}",
+             \"arena_bytes\": {}}}{comma}",
             r.detections,
             r.mean_stability_ms,
             r.gc_evicted,
@@ -314,8 +312,7 @@ fn render_json(
             r.shared_nodes,
             r.sharing_ratio,
             r.batch_ingest_events,
-            r.arena_bytes,
-            r.ring_full_spins
+            r.arena_bytes
         );
     }
     let _ = writeln!(j, "  ]");

@@ -7,16 +7,13 @@
 //! shape (16 `¬(b)[a, c]` definitions over private primitive triples —
 //! `BENCH_sharing.json`'s `overlap_0` row) with watermark-driven buffer
 //! GC **on** (the steady-state configuration every other engine path
-//! runs; E16 measures the GC-off accumulation regime on purpose). On top
-//! of the single-thread pair it emits a 1/2/4-worker scaling curve for
-//! the columnar path over the lock-free SPSC pool (`enable_worker_pool_
-//! exact`, so the curve is measured even when the host caps lower).
+//! runs; E16 measures the GC-off accumulation regime on purpose).
 //!
-//! Detections are hard-asserted identical between the oracle and every
+//! Detections are hard-asserted identical between the oracle and the
 //! columnar leg — a mismatch is a correctness bug, not a slow run.
 //!
-//! Run: `cargo run --release -p decs-bench --features parallel --bin
-//! ingest` (full, writes `BENCH_ingest.json` in the current directory).
+//! Run: `cargo run --release -p decs-bench --bin ingest` (full, writes
+//! `BENCH_ingest.json` in the current directory).
 //! `--smoke` runs a quick pass, validates the committed
 //! `BENCH_ingest.json` (malformed JSON, a single-thread columnar
 //! throughput under the 0.2 Meps acceptance floor, or — on a comparable
@@ -45,11 +42,9 @@ fn primitives() -> Vec<String> {
     names
 }
 
-/// 16 private-triple `¬(b)[a, c]` definitions, buffer GC on; `workers >
-/// 0` attaches an exact-sized pool (bypassing the available-parallelism
-/// cap so the scaling curve is measured everywhere).
-fn build(workers: usize) -> CentralDetector {
-    let mut d = CentralDetector::plan();
+/// 16 private-triple `¬(b)[a, c]` definitions, buffer GC on.
+fn build() -> CentralDetector {
+    let mut d = CentralDetector::new();
     for n in primitives() {
         d.register(&n).unwrap();
     }
@@ -63,9 +58,6 @@ fn build(workers: usize) -> CentralDetector {
         .unwrap();
     }
     d.set_buffer_gc(true);
-    if workers > 0 {
-        d.enable_worker_pool_exact(workers);
-    }
     d
 }
 
@@ -123,10 +115,8 @@ fn drive_columnar(
 
 struct Row {
     name: String,
-    workers: usize,
     meps: f64,
     detections: u64,
-    ring_full_spins: u64,
 }
 
 /// Best-of-3 throughput for one leg (fresh detector per repetition —
@@ -134,23 +124,20 @@ struct Row {
 /// the oracle's when one is supplied.
 fn leg(
     name: &str,
-    workers: usize,
     events: u64,
     columnar: bool,
     oracle: Option<&[decs_snoop::Occurrence<CentralTime>]>,
 ) -> (Row, Vec<decs_snoop::Occurrence<CentralTime>>) {
     let mut best = 0.0f64;
     let mut det = Vec::new();
-    let mut spins = 0;
     for _ in 0..3 {
-        let mut d = build(workers);
+        let mut d = build();
         let (secs, out) = if columnar {
             drive_columnar(&mut d, events)
         } else {
             drive_per_event(&mut d, events)
         };
         best = best.max(events as f64 / secs / 1e6);
-        spins = d.ring_full_spins();
         det = out;
     }
     if let Some(oracle) = oracle {
@@ -163,25 +150,17 @@ fn leg(
     (
         Row {
             name: name.to_string(),
-            workers,
             meps: best,
             detections: det.len() as u64,
-            ring_full_spins: spins,
         },
         det,
     )
 }
 
 fn run_all(events: u64) -> Vec<Row> {
-    let (oracle_row, oracle) = leg("per_event", 0, events, false, None);
-    let mut rows = vec![oracle_row];
-    let (serial, _) = leg("columnar", 0, events, true, Some(&oracle));
-    rows.push(serial);
-    for w in [1usize, 2, 4] {
-        let (r, _) = leg(&format!("columnar_w{w}"), w, events, true, Some(&oracle));
-        rows.push(r);
-    }
-    rows
+    let (oracle_row, oracle) = leg("per_event", events, false, None);
+    let (columnar, _) = leg("columnar", events, true, Some(&oracle));
+    vec![oracle_row, columnar]
 }
 
 fn render_json(mode: &str, events: u64, rows: &[Row]) -> String {
@@ -190,7 +169,7 @@ fn render_json(mode: &str, events: u64, rows: &[Row]) -> String {
     let mut j = String::new();
     let _ = writeln!(j, "{{");
     let _ = writeln!(j, "  \"bench\": \"ingest\",");
-    let _ = writeln!(j, "  \"schema\": 2,");
+    let _ = writeln!(j, "  \"schema\": 3,");
     let _ = writeln!(j, "  \"mode\": \"{mode}\",");
     let _ = writeln!(j, "  \"threads\": {threads},");
     let _ = writeln!(j, "  \"defs\": {DEFS},");
@@ -199,21 +178,18 @@ fn render_json(mode: &str, events: u64, rows: &[Row]) -> String {
     let _ = writeln!(j, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
-        // Schema 2: every row carries its own threads/schema stamp, so a
-        // consumer holding a single row out of context (or a future
-        // multi-machine merge of rows) can still decide comparability.
+        // Every row carries its own threads/schema stamp, so a consumer
+        // holding a single row out of context can still decide
+        // comparability.
         let _ = writeln!(
             j,
-            "    {{\"name\": \"{}\", \"schema\": 2, \"threads\": {threads}, \
-             \"workers\": {}, \"meps\": {:.3}, \
-             \"speedup_vs_per_event\": {:.2}, \"detections\": {}, \
-             \"ring_full_spins\": {}}}{comma}",
+            "    {{\"name\": \"{}\", \"schema\": 3, \"threads\": {threads}, \
+             \"meps\": {:.3}, \"speedup_vs_per_event\": {:.2}, \
+             \"detections\": {}}}{comma}",
             r.name,
-            r.workers,
             r.meps,
             r.meps / base,
-            r.detections,
-            r.ring_full_spins
+            r.detections
         );
     }
     let _ = writeln!(j, "  ]");
@@ -255,13 +231,7 @@ fn smoke(baseline_path: &str) -> i32 {
         return 1;
     };
     let mut failed = false;
-    for name in [
-        "per_event",
-        "columnar",
-        "columnar_w1",
-        "columnar_w2",
-        "columnar_w4",
-    ] {
+    for name in ["per_event", "columnar"] {
         if extract(&baseline, name, "meps").is_none() {
             eprintln!("smoke: FAIL — baseline is malformed (no {name} row)");
             failed = true;
@@ -280,9 +250,9 @@ fn smoke(baseline_path: &str) -> i32 {
     }
     // Absolute Meps are only comparable on the same class of machine; the
     // thread stamp is the proxy, matching the hotpath smoke's policy.
-    // Schema-2 baselines stamp threads on every row — prefer the row-level
-    // stamp of the row actually compared, falling back to the top-level
-    // stamp for schema-1 artifacts.
+    // Baselines stamp threads on every row — prefer the row-level stamp of
+    // the row actually compared, falling back to the top-level stamp for
+    // schema-1 artifacts.
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let baseline_threads = extract(&baseline, "columnar", "threads")
         .map(|t| t as usize)
@@ -305,23 +275,6 @@ fn smoke(baseline_path: &str) -> i32 {
              skipping the 20% regression comparison"
         );
     }
-    // The 4-worker scaling gate arms only when the baseline machine had
-    // real parallelism to scale into.
-    if let Some(bt) = baseline_threads {
-        if bt >= 4 {
-            match extract(&baseline, "columnar_w4", "speedup_vs_per_event") {
-                Some(s) if s >= 2.0 => {}
-                Some(s) => {
-                    eprintln!(
-                        "smoke: FAIL — baseline 4-worker speedup {s:.2} < 2x on a \
-                         {bt}-thread machine"
-                    );
-                    failed = true;
-                }
-                None => {}
-            }
-        }
-    }
     if failed {
         1
     } else {
@@ -341,8 +294,8 @@ fn main() {
     let rows = run_all(events);
     for r in &rows {
         eprintln!(
-            "{:>12}: {:.3} Mev/s ({} detections, {} ring-full spins)",
-            r.name, r.meps, r.detections, r.ring_full_spins
+            "{:>12}: {:.3} Mev/s ({} detections)",
+            r.name, r.meps, r.detections
         );
     }
     let json = render_json("full", events, &rows);

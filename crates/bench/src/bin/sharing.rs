@@ -1,17 +1,17 @@
 //! E16 — cross-definition operator sharing (the hash-consed plan IR).
 //!
-//! Measures serial feed throughput of the shared-plan backend
-//! ([`CentralDetector::plan`]) against independent per-definition
-//! compilation ([`CentralDetector::sharded`], the `plan_sharing: false`
-//! oracle) on definition sets with a controlled **overlap fraction**:
+//! Measures serial feed throughput of the shared plan
+//! ([`PlanDetector`]) against independent per-definition compilation (the
+//! [`ReferenceDetector`] oracle) on definition sets with a controlled
+//! **overlap fraction**:
 //! of `N` definitions, `overlap%` are copies of one common deep body over
 //! a shared primitive triple (the plan collapses them to a single operator
 //! subtree with per-definition fan-out) and the rest are structurally
 //! identical bodies over *private* primitive triples (no sharing possible,
-//! same cost on both backends). The workload cycles over every registered
+//! same cost on both legs). The workload cycles over every registered
 //! primitive, so both populations do real work.
 //!
-//! Detection counts are asserted equal between the backends on every
+//! Detection counts are asserted equal between the two legs on every
 //! configuration — a mismatch is a correctness bug, not a slow run.
 //!
 //! Run: `cargo run --release -p decs-bench --bin sharing` (full, writes
@@ -21,7 +21,9 @@
 //! headline speedup below 1.5x fails with a nonzero exit) and writes its
 //! own results under `target/`.
 
-use decs_snoop::{CentralDetector, Context, EventExpr as E, EventExpr};
+use decs_snoop::{
+    CentralTime, Context, EventExpr as E, EventExpr, Occurrence, PlanDetector, ReferenceDetector,
+};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -33,7 +35,7 @@ const DEFS: usize = 16;
 /// the window scan happens, emissions are rare and tiny), so operator
 /// *execution* — the part the plan runs once per trigger instead of once
 /// per duplicate definition — dominates the constant per-definition
-/// fan-out bookkeeping that every backend pays.
+/// fan-out bookkeeping that both legs pay.
 fn body(a: &str, b: &str, c: &str) -> EventExpr {
     E::not(E::prim(b), E::prim(a), E::prim(c))
 }
@@ -50,39 +52,40 @@ fn primitives(unique_defs: usize) -> Vec<String> {
     names
 }
 
-/// Build a detector with `dup` copies of the common body and
-/// `DEFS - dup` private-triple bodies.
-fn build(shared_plan: bool, dup: usize) -> CentralDetector {
-    let mut d = if shared_plan {
-        CentralDetector::plan()
-    } else {
-        CentralDetector::sharded()
-    };
+/// The definitions for `dup` copies of the common body and `DEFS - dup`
+/// private-triple bodies, in definition order.
+fn definitions(dup: usize) -> Vec<(String, EventExpr)> {
+    let mut defs: Vec<(String, EventExpr)> = (0..dup)
+        .map(|i| (format!("D{i}"), body("S0", "S1", "S2")))
+        .collect();
+    for i in 0..DEFS - dup {
+        let (a, b, c) = (format!("U{i}_0"), format!("U{i}_1"), format!("U{i}_2"));
+        defs.push((format!("D{}", dup + i), body(&a, &b, &c)));
+    }
+    defs
+}
+
+/// The shared plan over the configuration's definitions.
+fn build_shared(dup: usize) -> PlanDetector<CentralTime> {
+    let mut d = PlanDetector::new();
     for n in primitives(DEFS - dup) {
         d.register(&n).unwrap();
     }
-    for i in 0..dup {
-        d.define(
-            &format!("D{i}"),
-            &body("S0", "S1", "S2"),
-            Context::Chronicle,
-        )
-        .unwrap();
+    for (name, expr) in definitions(dup) {
+        d.define(&name, &expr, Context::Chronicle).unwrap();
     }
-    for i in 0..DEFS - dup {
-        let (a, b, c) = (format!("U{i}_0"), format!("U{i}_1"), format!("U{i}_2"));
-        d.define(
-            &format!("D{}", dup + i),
-            &body(&a, &b, &c),
-            Context::Chronicle,
-        )
-        .unwrap();
+    d
+}
+
+/// The unshared reference interpreter over the same definitions.
+fn build_reference(dup: usize) -> ReferenceDetector<CentralTime> {
+    let mut d = ReferenceDetector::new();
+    for n in primitives(DEFS - dup) {
+        d.register(&n).unwrap();
     }
-    // Both legs run with clock-driven buffer GC off: the bench measures
-    // detection work on accumulated operator state, and GC equivalence is
-    // `hotpath`'s subject, not this one's. The setting is identical for
-    // both backends, so the ratio stays apples-to-apples.
-    d.set_buffer_gc(false);
+    for (name, expr) in definitions(dup) {
+        d.define(&name, &expr, Context::Chronicle).unwrap();
+    }
     d
 }
 
@@ -90,22 +93,37 @@ fn build(shared_plan: bool, dup: usize) -> CentralDetector {
 /// pattern round-robin over every registered triple (opener, window-
 /// killing guard, opener, closer — the closer's window scan is the hot
 /// operation); returns (elapsed seconds, detections produced).
-fn drive(d: &mut CentralDetector, events: u64) -> (f64, u64) {
-    let names = primitives(DEFS); // superset order; trim to the catalog
-    let live: Vec<&str> = names
-        .iter()
-        .map(|s| s.as_str())
-        .filter(|n| d.catalog().lookup(n).is_ok())
-        .collect();
-    let triples: Vec<[&str; 3]> = live.chunks(3).map(|t| [t[0], t[1], t[2]]).collect();
+///
+/// Both legs run the same loop — resolve the name, feed one occurrence —
+/// and neither collects operator garbage: the bench measures detection
+/// work on accumulated operator state (GC equivalence is `hotpath`'s
+/// subject). Driving both from this crate also gives them the same
+/// compiled operator code, so the ratio measures sharing alone.
+fn drive(shared_plan: bool, dup: usize, events: u64) -> (f64, u64) {
+    let names = primitives(DEFS - dup);
+    let triples: Vec<&[String]> = names.chunks(3).collect();
+    let name = |i: u64| {
+        let t = triples[((i / 4) as usize) % triples.len()];
+        t[[0, 1, 0, 2][(i % 4) as usize]].as_str()
+    };
     let mut detections = 0u64;
-    let start = Instant::now();
-    for i in 0..events {
-        let [a, b, c] = triples[((i / 4) as usize) % triples.len()];
-        let name = [a, b, a, c][(i % 4) as usize];
-        detections += d.feed_bare(name, i).unwrap().len() as u64;
+    if shared_plan {
+        let mut d = build_shared(dup);
+        let start = Instant::now();
+        for i in 0..events {
+            let ty = d.catalog().lookup(name(i)).unwrap();
+            detections += d.feed(Occurrence::bare(ty, CentralTime(i))).detected.len() as u64;
+        }
+        (start.elapsed().as_secs_f64(), detections)
+    } else {
+        let mut d = build_reference(dup);
+        let start = Instant::now();
+        for i in 0..events {
+            let ty = d.catalog().lookup(name(i)).unwrap();
+            detections += d.feed(Occurrence::bare(ty, CentralTime(i))).detected.len() as u64;
+        }
+        (start.elapsed().as_secs_f64(), detections)
     }
-    (start.elapsed().as_secs_f64(), detections)
 }
 
 struct Row {
@@ -124,14 +142,13 @@ impl Row {
     }
 }
 
-/// Best-of-3 throughput for one backend (fresh detector per repetition —
+/// Best-of-3 throughput for one leg (fresh detector per repetition —
 /// feeding mutates operator state).
 fn throughput(shared_plan: bool, dup: usize, events: u64) -> (f64, u64) {
     let mut best = 0.0f64;
     let mut detections = 0;
     for _ in 0..3 {
-        let mut d = build(shared_plan, dup);
-        let (secs, det) = drive(&mut d, events);
+        let (secs, det) = drive(shared_plan, dup, events);
         best = best.max(events as f64 / secs / 1e6);
         detections = det;
     }
@@ -142,12 +159,13 @@ fn run_config(overlap_pct: usize, events: u64) -> Row {
     let dup = DEFS * overlap_pct / 100;
     let (shared_meps, det_shared) = throughput(true, dup, events);
     let (unshared_meps, det_unshared) = throughput(false, dup, events);
-    // The hard equivalence gate: both backends must detect identically.
+    // The hard equivalence gate: plan and reference must detect
+    // identically.
     assert_eq!(
         det_shared, det_unshared,
-        "backend detection mismatch at overlap {overlap_pct}%"
+        "plan vs reference detection mismatch at overlap {overlap_pct}%"
     );
-    let stats = build(true, dup).plan_stats();
+    let stats = build_shared(dup).plan_stats();
     Row {
         overlap_pct,
         shared_meps,

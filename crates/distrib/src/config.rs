@@ -39,16 +39,6 @@ pub struct EngineConfig {
     /// this only trades a little release-round work for bounded memory on
     /// long runs. On by default; the off switch exists for ablation.
     pub buffer_gc: bool,
-    /// Worker threads for the coordinator's persistent shard pool
-    /// (`parallel` feature). `0` — the default — means auto:
-    /// `min(available_parallelism, shard_count)`, attaching a pool only
-    /// when that is ≥ 2. `1` forces the serial path (the baseline the
-    /// determinism suites compare against); `n ≥ 2` attaches a pool of
-    /// exactly `min(n, shard_count)` threads — an explicit count bypasses
-    /// the hardware cap (the determinism suites exercise multi-worker
-    /// hand-off even on single-core machines). Detections are bit-for-bit
-    /// identical for every value. Ignored without the `parallel` feature.
-    pub worker_count: usize,
     /// Base retransmission timeout for unacked site→coordinator messages.
     /// `Nanos::ZERO` disables the ack/retransmit protocol (fire-and-forget,
     /// for lossless links or ablation).
@@ -72,13 +62,6 @@ pub struct EngineConfig {
     /// overflow discards the highest-sequence parked message (recovered by
     /// retransmission). `0` means unbounded.
     pub parked_cap: usize,
-    /// Compile the coordinator's definitions into one hash-consed shared
-    /// plan, so structurally identical subexpressions across definitions
-    /// execute once per released notification. On by default; the off
-    /// switch keeps the independent-compilation path as a differential
-    /// oracle (the `sharing` bench and equivalence suites compare the
-    /// two). Detections are bit-for-bit identical either way.
-    pub plan_sharing: bool,
     /// Persist a write-ahead log of delivered notifications plus periodic
     /// operator-state snapshots, so a crashed coordinator can be rebuilt
     /// and resumed (`Engine::crash_and_recover_coordinator`). Requires
@@ -127,7 +110,6 @@ impl Default for EngineConfig {
             trace_capacity: 0,
             release_policy: ReleasePolicy::Stable,
             buffer_gc: true,
-            worker_count: 0,
             // Reliability on by default: a 200 ms base timeout sits far
             // above LAN/WAN round trips (no spurious retransmits on a
             // healthy link — and a spurious copy is just deduped anyway).
@@ -139,7 +121,6 @@ impl Default for EngineConfig {
             stall_intervals: 50,
             auto_evict: false,
             parked_cap: 4096,
-            plan_sharing: true,
             durability: false,
             snapshot_interval: 8,
             wal_dir: None,

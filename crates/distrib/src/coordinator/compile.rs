@@ -5,33 +5,25 @@
 //! the engine) because every coordinator replica must be able to build its
 //! own plan from the same inputs.
 
-use crate::config::EngineConfig;
 use decs_core::CompositeTimestamp;
-use decs_snoop::{AnyDetector, Context, EventExpr, EventId, PlanDetector, Result, ShardedDetector};
+use decs_snoop::{Context, EventExpr, EventId, PlanDetector, Result};
 use std::collections::HashMap;
 
 /// A freshly compiled coordinator detector plus the name→id table and
 /// the full coordinator-visible event-name list it was compiled with.
 pub(crate) type CompiledDetector = (
-    AnyDetector<CompositeTimestamp>,
+    PlanDetector<CompositeTimestamp>,
     HashMap<String, EventId>,
     Vec<String>,
 );
 
 /// Compile the coordinator's detector from the (owned) definition lists.
 pub(crate) fn build_detector(
-    config: &EngineConfig,
     primitives: &[String],
     local_definitions: &[(String, EventExpr, Context)],
     global_definitions: &[(String, EventExpr, Context)],
 ) -> Result<CompiledDetector> {
-    // The shared-plan backend is the default; `plan_sharing: false`
-    // keeps the independent-compilation path as a differential oracle.
-    let mut detector: AnyDetector<CompositeTimestamp> = if config.plan_sharing {
-        PlanDetector::new().into()
-    } else {
-        ShardedDetector::new().into()
-    };
+    let mut detector = PlanDetector::new();
     let mut name_ids = HashMap::new();
     for p in primitives {
         let id = detector.register(p)?;
@@ -47,48 +39,13 @@ pub(crate) fn build_detector(
         let id = detector.define(name, expr, *ctx)?;
         name_ids.insert(name.clone(), id);
     }
-    apply_worker_config(&mut detector, config);
     // Snapshot id → name for reporting.
     let names = catalog_names(&detector);
     Ok((detector, name_ids, names))
 }
 
-/// Apply the `worker_count` policy to a compiled detector.
-///
-/// `worker_count` semantics: 0 = auto (pool iff ≥ 2 workers fit under the
-/// min(available_parallelism, shards) clamp), 1 = forced serial (the
-/// determinism-suite baseline), n ≥ 2 = pool of exactly min(n, shards)
-/// threads. An explicit count bypasses the hardware cap: the determinism
-/// suites depend on real multi-worker hand-off even on single-core CI.
-/// See [`EngineConfig::worker_count`].
-pub(crate) fn apply_worker_config(
-    detector: &mut AnyDetector<CompositeTimestamp>,
-    config: &EngineConfig,
-) {
-    #[cfg(feature = "parallel")]
-    if detector.shard_count() > 1 {
-        match config.worker_count {
-            0 => {
-                let workers = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(detector.shard_count());
-                if workers > 1 {
-                    detector.enable_pool(workers);
-                }
-            }
-            1 => {}
-            n => detector.enable_pool_exact(n.min(detector.shard_count())),
-        }
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = (detector, config);
-    }
-}
-
 /// The detector's full catalog as an id-indexed name list.
-pub(crate) fn catalog_names(detector: &AnyDetector<CompositeTimestamp>) -> Vec<String> {
+pub(crate) fn catalog_names(detector: &PlanDetector<CompositeTimestamp>) -> Vec<String> {
     let cat = detector.catalog();
     (0..cat.len())
         .map(|i| cat.name(EventId(i as u32)).to_string())
@@ -99,7 +56,7 @@ pub(crate) fn catalog_names(detector: &AnyDetector<CompositeTimestamp>) -> Vec<S
 pub(crate) struct ReplicaPlan {
     /// The replica's detector, with the cross-definition cascade severed
     /// (the partition plane re-creates it explicitly).
-    pub(crate) detector: AnyDetector<CompositeTimestamp>,
+    pub(crate) detector: PlanDetector<CompositeTimestamp>,
     /// Replica-local event id → full-catalog id.
     pub(crate) to_global: Vec<u32>,
     /// Full-catalog id → replica-local id.
@@ -112,19 +69,14 @@ pub(crate) struct ReplicaPlan {
 /// global definitions in global definition order. The replica plan is
 /// deterministic: a recovered replica rebuilds the identical plan.
 pub(crate) fn build_replica_detector(
-    config: &EngineConfig,
     full_names: &[String],
     inputs: &std::collections::BTreeSet<u32>,
     owned_defs: &[(String, EventExpr, Context)],
 ) -> Result<ReplicaPlan> {
-    let mut detector: AnyDetector<CompositeTimestamp> = if config.plan_sharing {
-        PlanDetector::new().into()
-    } else {
-        ShardedDetector::new().into()
-    };
+    let mut detector = PlanDetector::new();
     let mut to_global = Vec::new();
     let mut to_local = HashMap::new();
-    // The plan backend interns synthetic hash-cons nodes into the catalog
+    // The plan interns synthetic hash-cons nodes into the catalog
     // during `define`, so returned ids are not contiguous. `to_global` is
     // therefore gap-tolerant: synthetic slots hold a sentinel that is never
     // read (detections and routed inputs only ever carry named ids).
@@ -151,7 +103,6 @@ pub(crate) fn build_replica_detector(
         set(&mut to_global, local, full);
     }
     detector.set_cascade(false);
-    apply_worker_config(&mut detector, config);
     Ok(ReplicaPlan {
         detector,
         to_global,

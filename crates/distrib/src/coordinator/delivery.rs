@@ -179,6 +179,29 @@ impl CoordinatorNode {
         }
     }
 
+    /// Whether a sequence-numbered message from node `site` fits this
+    /// deployment: the sender owns a reassembly stream here; a classic
+    /// coordinator takes no replica traffic (`Relay`, `Routed`); in a
+    /// partitioned plane, site streams carry site traffic only and peer
+    /// streams carry only relays from *another* replica whose promise has
+    /// one entry per stratum of this replica's bound on that peer.
+    fn fits_stream(&self, site: usize, msg: &Msg) -> bool {
+        if site >= self.streams.len() {
+            return false;
+        }
+        match (&self.part, msg) {
+            (None, Msg::Relay { .. } | Msg::Routed { .. }) => false,
+            (None, _) => true,
+            (Some(part), Msg::Relay { promise, .. }) => {
+                let Some(q) = site.checked_sub(part.n_sites) else {
+                    return false;
+                };
+                q != part.replica && promise.len() == part.peer_bound[q].len()
+            }
+            (Some(part), _) => site < part.n_sites,
+        }
+    }
+
     pub(super) fn epoch_of(msg: &Msg) -> Option<u64> {
         match msg {
             Msg::Event { epoch, .. }
@@ -395,7 +418,12 @@ impl CoordinatorNode {
         let Some(seq) = Self::seq_of(&msg) else {
             return; // Inject/Ack echoes are not coordinator traffic
         };
-        debug_assert!(site < self.streams.len(), "unknown site {site}");
+        if !self.fits_stream(site, &msg) {
+            // Foreign input: dropped before it touches any stream state,
+            // and never acked, so no sender mistakes it for delivered.
+            self.metrics.foreign_refused += 1;
+            return;
+        }
         if self.wal_failed.is_some() {
             // Fail-stop after a WAL error: dropping without acking keeps
             // the durable log prefix exactly the consumed-input stream —
@@ -502,11 +530,14 @@ impl CoordinatorNode {
 
 #[cfg(test)]
 mod tests {
+    use super::super::partition::PartitionState;
     use super::super::{CoordCtx, CoordinatorNode};
-    use crate::protocol::{Msg, SACK_RANGES};
+    use crate::protocol::{Msg, PlanePos, SACK_RANGES};
     use decs_chronos::Nanos;
     use decs_simnet::NodeIdx;
-    use decs_snoop::ShardedDetector;
+    use decs_snoop::PlanDetector;
+    use std::collections::HashMap;
+    use std::sync::Arc;
 
     /// A context that keeps every message the coordinator sends.
     #[derive(Default)]
@@ -523,7 +554,7 @@ mod tests {
     }
 
     fn coordinator(parked_cap: usize) -> CoordinatorNode {
-        let mut d = ShardedDetector::new();
+        let mut d = PlanDetector::new();
         d.register("A").unwrap();
         let mut c = CoordinatorNode::new(1, d, 100_000_000);
         c.set_fault_tolerance(Nanos::ZERO, 0, false, parked_cap);
@@ -600,5 +631,100 @@ mod tests {
         assert_eq!(c.metrics.parked_dropped, 1);
         // The next ack no longer sacks 5, so the sender's timer resends it.
         assert_eq!(deliver(&mut c, 0), vec![(1, vec![(2, 4)])]);
+    }
+
+    /// Replica 0 of a two-replica plane over one site: stream 0 is the
+    /// site, stream 1 is this replica itself, stream 2 is its peer.
+    fn replica() -> CoordinatorNode {
+        let mut c = coordinator(0);
+        c.enable_partition(PartitionState::new(
+            0,
+            1,
+            2,
+            Vec::new(),
+            HashMap::new(),
+            HashMap::new(),
+            HashMap::new(),
+            0,
+            0,
+            1,
+            Nanos::ZERO,
+        ));
+        c
+    }
+
+    fn relay(promise_len: usize) -> Msg {
+        Msg::Relay {
+            seq: 0,
+            promise: vec![PlanePos::MAX; promise_len],
+            events: Arc::new(Vec::new()),
+        }
+    }
+
+    fn heartbeat(watermark: u64) -> Msg {
+        Msg::Heartbeat {
+            seq: 0,
+            epoch: 0,
+            watermark,
+        }
+    }
+
+    /// Deliver `msg` from node `from` and check it was refused: counted
+    /// once, never acked, and no stream or watermark moved.
+    fn assert_refused(c: &mut CoordinatorNode, from: u32, msg: Msg) {
+        let before = c.metrics.foreign_refused;
+        let watermark = c.tracker.min_watermark();
+        let mut ctx = Sent::default();
+        c.deliver(NodeIdx(from), msg, &mut ctx);
+        assert_eq!(c.metrics.foreign_refused, before + 1);
+        assert!(ctx.0.is_empty(), "refused input must not be acked");
+        assert_eq!(c.tracker.min_watermark(), watermark);
+        assert!(c.streams.iter().all(|s| s.next == 0 && s.parked.is_empty()));
+    }
+
+    #[test]
+    fn relay_at_a_classic_coordinator_is_refused() {
+        let mut c = coordinator(0);
+        assert_refused(&mut c, 0, relay(1));
+        assert_eq!(c.metrics.foreign_refused, 1);
+    }
+
+    #[test]
+    fn routed_at_a_classic_coordinator_is_refused() {
+        let mut c = coordinator(0);
+        let routed = Msg::Routed {
+            seq: 0,
+            epoch: 0,
+            watermark: 7,
+            events: Arc::new(Vec::new()),
+        };
+        assert_refused(&mut c, 0, routed);
+        assert_eq!(c.metrics.foreign_refused, 1);
+    }
+
+    #[test]
+    fn sender_without_a_stream_is_refused() {
+        let mut c = coordinator(0);
+        assert_refused(&mut c, 5, heartbeat(7));
+        assert_eq!(c.metrics.foreign_refused, 1);
+        let mut r = replica();
+        assert_refused(&mut r, 3, relay(1));
+        assert_eq!(r.metrics.foreign_refused, 1);
+    }
+
+    #[test]
+    fn misaddressed_relays_are_refused() {
+        let mut r = replica();
+        assert_refused(&mut r, 0, relay(1)); // from a site stream
+        assert_refused(&mut r, 1, relay(1)); // from this replica itself
+        assert_refused(&mut r, 2, relay(3)); // promise of the wrong length
+        assert_refused(&mut r, 2, heartbeat(7)); // site traffic, peer stream
+        assert_eq!(r.metrics.foreign_refused, 4);
+        // A well-formed relay from the peer is still consumed and acked.
+        let mut ctx = Sent::default();
+        r.deliver(NodeIdx(2), relay(1), &mut ctx);
+        assert_eq!(r.metrics.foreign_refused, 4);
+        assert_eq!(r.streams[2].next, 1);
+        assert!(ctx.0.iter().any(|m| matches!(m, Msg::Ack { .. })));
     }
 }

@@ -4,12 +4,10 @@
 //! every site — either per-event (`Msg::Event` + `Msg::Heartbeat`) or
 //! coalesced into `Msg::Batch`es — reassembles each site's FIFO stream,
 //! buffers notifications until the watermark stability rule releases them,
-//! drains the stable prefix in watermark-bounded batches into an
-//! [`AnyDetector`] — the hash-consed shared plan by default, or one
-//! event-graph shard per composite definition with plan sharing disabled —
-//! in a canonical order, and services the detector's timer requests from
-//! its own clock. Detections are identical in both transport modes and
-//! with either backend.
+//! drains the stable prefix in watermark-bounded batches into the
+//! hash-consed shared-plan [`PlanDetector`] in a canonical order, and
+//! services the detector's timer requests from its own clock. Detections
+//! are identical in both transport modes.
 //!
 //! The implementation is split by concern:
 //!
@@ -37,7 +35,7 @@ use crate::watermark::WatermarkTracker;
 use decs_chronos::Nanos;
 use decs_core::CompositeTimestamp;
 use decs_simnet::{Actor, Ctx, NodeIdx};
-use decs_snoop::{AnyDetector, EventBatch, EventId, Occurrence, ShardId, TimerId};
+use decs_snoop::{EventBatch, EventId, Occurrence, PlanDetector, ShardId, TimerId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The slice of [`Ctx`] the coordinator's state transitions actually use.
@@ -146,7 +144,7 @@ pub struct RawDetection {
 
 /// The coordinator actor.
 pub struct CoordinatorNode {
-    pub(crate) detector: AnyDetector<CompositeTimestamp>,
+    pub(crate) detector: PlanDetector<CompositeTimestamp>,
     /// Reusable columnar staging batch for release rounds (cleared after
     /// every feed; steady state allocates nothing).
     pub(crate) ingest: EventBatch<CompositeTimestamp>,
@@ -226,16 +224,9 @@ impl std::fmt::Debug for CoordinatorNode {
 }
 
 impl CoordinatorNode {
-    /// Coordinator over `sites` sites, running a pre-compiled detector —
-    /// either backend ([`decs_snoop::ShardedDetector`] or
-    /// [`decs_snoop::PlanDetector`]) converts into the [`AnyDetector`]
-    /// this takes. `gg_nanos` is the duration of one global tick (for
-    /// timer delays).
-    pub fn new(
-        sites: usize,
-        detector: impl Into<AnyDetector<CompositeTimestamp>>,
-        gg_nanos: u64,
-    ) -> Self {
+    /// Coordinator over `sites` sites, running a pre-compiled detector.
+    /// `gg_nanos` is the duration of one global tick (for timer delays).
+    pub fn new(sites: usize, detector: PlanDetector<CompositeTimestamp>, gg_nanos: u64) -> Self {
         Self::with_policy(sites, detector, gg_nanos, ReleasePolicy::Stable)
     }
 
@@ -243,16 +234,14 @@ impl CoordinatorNode {
     /// exists for the ablation experiments).
     pub fn with_policy(
         sites: usize,
-        detector: impl Into<AnyDetector<CompositeTimestamp>>,
+        detector: PlanDetector<CompositeTimestamp>,
         gg_nanos: u64,
         policy: ReleasePolicy,
     ) -> Self {
-        let detector = detector.into();
         let plan = detector.plan_stats();
         let metrics = Metrics {
             shard_count: detector.shard_count(),
             stage_count: detector.stage_count(),
-            worker_count: detector.worker_count(),
             plan_nodes: plan.plan_nodes,
             shared_nodes: plan.shared_nodes,
             sharing_ratio: plan.sharing_ratio,
@@ -378,11 +367,11 @@ impl Actor for CoordinatorNode {
 mod tests {
     use super::*;
     use decs_core::cts;
-    use decs_snoop::{Context, EventExpr, EventId, ShardedDetector};
+    use decs_snoop::{Context, EventExpr, EventId};
     use std::io;
 
-    fn detector() -> (ShardedDetector<CompositeTimestamp>, EventId) {
-        let mut d = ShardedDetector::new();
+    fn detector() -> (PlanDetector<CompositeTimestamp>, EventId) {
+        let mut d = PlanDetector::new();
         d.register("A").unwrap();
         d.register("B").unwrap();
         let x = d

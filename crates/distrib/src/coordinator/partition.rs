@@ -340,6 +340,8 @@ impl CoordinatorNode {
     ) {
         let now = ctx.true_now();
         let immediates = {
+            // `fits_stream` admitted only another replica's relay with a
+            // full promise.
             let part = self.part.as_mut().expect("partitioned");
             let q = stream - part.n_sites;
             debug_assert!(q < part.n_replicas && q != part.replica, "bad relay peer");

@@ -8,7 +8,7 @@ use crate::durability::{
 };
 use decs_chronos::{GlobalTicks, LocalTicks, Nanos, SiteId};
 use decs_core::{CompositeTimestamp, PrimitiveTimestamp};
-use decs_snoop::{ShardId, Snapshot, TimerId};
+use decs_snoop::{ShardId, TimerId};
 use std::io;
 use std::path::Path;
 

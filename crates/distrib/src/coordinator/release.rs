@@ -118,10 +118,6 @@ impl CoordinatorNode {
             .metrics
             .node_buffer_peak
             .max(self.metrics.node_buffered);
-        self.metrics.worker_count = self.detector.worker_count();
-        self.metrics.parallel_rounds = self.detector.parallel_rounds();
-        self.metrics.pool_busy_ns = self.detector.pool_busy_ns();
-        self.metrics.ring_full_spins = self.detector.ring_full_spins();
     }
 
     /// Feed a released notification: report it if it is itself a

@@ -17,10 +17,7 @@ use crate::metrics::Metrics;
 use crate::protocol::{sack_valid, Msg, PathStep, PlanePos, RelayedEvent, RoutedEvent};
 use decs_chronos::{GlobalTicks, LocalTicks, SiteId};
 use decs_core::{CompositeTimestamp, PrimitiveTimestamp};
-use decs_snoop::{
-    DefTimers, DetectorState, EventId, GraphState, NodeState, Occurrence, ParamTuple, PlanState,
-    Value,
-};
+use decs_snoop::{DefTimers, EventId, NodeState, Occurrence, ParamTuple, PlanState, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -714,23 +711,6 @@ impl Decode for NodeState<CompositeTimestamp> {
     }
 }
 
-impl Encode for GraphState<CompositeTimestamp> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.nodes.encode(out);
-        self.timers.encode(out);
-        self.next_timer.encode(out);
-    }
-}
-impl Decode for GraphState<CompositeTimestamp> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(GraphState {
-            nodes: Vec::decode(r)?,
-            timers: Vec::decode(r)?,
-            next_timer: r.u64()?,
-        })
-    }
-}
-
 impl Encode for DefTimers {
     fn encode(&self, out: &mut Vec<u8>) {
         self.timers.encode(out);
@@ -763,30 +743,6 @@ impl Decode for PlanState<CompositeTimestamp> {
     }
 }
 
-impl Encode for DetectorState<CompositeTimestamp> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            DetectorState::Sharded(graphs) => {
-                out.push(0);
-                graphs.encode(out);
-            }
-            DetectorState::Plan(plan) => {
-                out.push(1);
-                plan.encode(out);
-            }
-        }
-    }
-}
-impl Decode for DetectorState<CompositeTimestamp> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.u8()? {
-            0 => Ok(DetectorState::Sharded(Vec::decode(r)?)),
-            1 => Ok(DetectorState::Plan(PlanState::decode(r)?)),
-            _ => Err(CodecError::Invalid("DetectorState tag")),
-        }
-    }
-}
-
 // ---------------------------------------------------------------- metrics
 
 impl Encode for Metrics {
@@ -810,10 +766,7 @@ impl Encode for Metrics {
         self.gc_evicted.encode(out);
         self.node_buffered.encode(out);
         self.node_buffer_peak.encode(out);
-        self.worker_count.encode(out);
-        self.parallel_rounds.encode(out);
         self.stage_count.encode(out);
-        self.pool_busy_ns.encode(out);
         self.retransmits.encode(out);
         self.acks_sent.encode(out);
         self.duplicates_dropped.encode(out);
@@ -830,12 +783,12 @@ impl Encode for Metrics {
         self.recovery_ns.encode(out);
         self.batch_ingest_events.encode(out);
         self.arena_bytes.encode(out);
-        self.ring_full_spins.encode(out);
         self.site_restarts.encode(out);
         self.rejoins.encode(out);
         self.epoch_max.encode(out);
         self.rejoin_latency_ns.encode(out);
         self.stale_refused.encode(out);
+        self.foreign_refused.encode(out);
         self.epoch_filtered.encode(out);
         self.wal_errors.encode(out);
         self.replica_count.encode(out);
@@ -868,10 +821,7 @@ impl Decode for Metrics {
             gc_evicted: r.u64()?,
             node_buffered: usize::decode(r)?,
             node_buffer_peak: usize::decode(r)?,
-            worker_count: usize::decode(r)?,
-            parallel_rounds: r.u64()?,
             stage_count: usize::decode(r)?,
-            pool_busy_ns: r.u64()?,
             retransmits: r.u64()?,
             acks_sent: r.u64()?,
             duplicates_dropped: r.u64()?,
@@ -888,12 +838,12 @@ impl Decode for Metrics {
             recovery_ns: r.u64()?,
             batch_ingest_events: r.u64()?,
             arena_bytes: r.u64()?,
-            ring_full_spins: r.u64()?,
             site_restarts: r.u64()?,
             rejoins: r.u64()?,
             epoch_max: r.u64()?,
             rejoin_latency_ns: r.u64()?,
             stale_refused: r.u64()?,
+            foreign_refused: r.u64()?,
             epoch_filtered: r.u64()?,
             wal_errors: r.u64()?,
             replica_count: usize::decode(r)?,

@@ -24,7 +24,7 @@
 use super::codec::{crc32, from_bytes, to_bytes, CodecError, Decode, Encode, Reader};
 use crate::metrics::Metrics;
 use decs_core::CompositeTimestamp;
-use decs_snoop::{DetectorState, Occurrence};
+use decs_snoop::{Occurrence, PlanState};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -122,6 +122,10 @@ impl Decode for PendingDetection {
     }
 }
 
+/// Tag byte written ahead of the detector state, marking the shared-plan
+/// state. Decoding refuses any other tag (`0` was a removed backend's).
+const PLAN_STATE_TAG: u8 = 1;
+
 /// Everything needed to rebuild a coordinator, minus what the WAL suffix
 /// and the sites' retransmissions re-supply.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,8 +133,8 @@ pub struct CoordinatorSnapshot {
     /// Number of WAL records already applied when this snapshot was taken.
     /// Recovery replays the log from this offset.
     pub wal_records: u64,
-    /// Operator buffer state of the detection backend.
-    pub detector: DetectorState<CompositeTimestamp>,
+    /// Operator buffer state of the shared-plan detector.
+    pub detector: PlanState<CompositeTimestamp>,
     /// Per-site stream reassembly state: `(next_seq, arrivals, evicted,
     /// epoch)`. Parked messages are intentionally absent (see module
     /// docs).
@@ -164,6 +168,7 @@ pub struct CoordinatorSnapshot {
 impl Encode for CoordinatorSnapshot {
     fn encode(&self, out: &mut Vec<u8>) {
         self.wal_records.encode(out);
+        PLAN_STATE_TAG.encode(out);
         self.detector.encode(out);
         self.streams.encode(out);
         self.watermarks.encode(out);
@@ -180,9 +185,13 @@ impl Encode for CoordinatorSnapshot {
 }
 impl Decode for CoordinatorSnapshot {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let wal_records = u64::decode(r)?;
+        if u8::decode(r)? != PLAN_STATE_TAG {
+            return Err(CodecError::Invalid("detector state tag"));
+        }
         Ok(CoordinatorSnapshot {
-            wal_records: u64::decode(r)?,
-            detector: DetectorState::decode(r)?,
+            wal_records,
+            detector: PlanState::decode(r)?,
             streams: Vec::decode(r)?,
             watermarks: Vec::decode(r)?,
             buffer: Vec::decode(r)?,
@@ -291,16 +300,15 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use decs_snoop::PlanState;
 
     fn sample(wal_records: u64) -> CoordinatorSnapshot {
         CoordinatorSnapshot {
             wal_records,
-            detector: DetectorState::Plan(PlanState {
+            detector: PlanState {
                 nodes: Vec::new(),
                 execs: Vec::new(),
                 defs: Vec::new(),
-            }),
+            },
             streams: vec![(3, 5, false, 0), (0, 0, true, 2)],
             watermarks: vec![4, u64::MAX],
             buffer: Vec::new(),
@@ -318,6 +326,20 @@ mod tests {
             stall: vec![(4, 0, false), (0, 3, true)],
             release_horizon: 2,
         }
+    }
+
+    #[test]
+    fn unknown_detector_state_tag_is_refused() {
+        let mut bytes = to_bytes(&sample(1));
+        assert!(from_bytes::<CoordinatorSnapshot>(&bytes).is_ok());
+        // The tag byte follows the 8-byte `wal_records`; tag 0 was the
+        // removed per-definition backend's state.
+        assert_eq!(bytes[8], PLAN_STATE_TAG);
+        bytes[8] = 0;
+        assert_eq!(
+            from_bytes::<CoordinatorSnapshot>(&bytes),
+            Err(CodecError::Invalid("detector state tag"))
+        );
     }
 
     #[test]

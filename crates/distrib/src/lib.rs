@@ -16,7 +16,7 @@
 //!  site 2 ─┘ Heartbeat(watermark, seq)     │  per-site FIFO reassembly│
 //!                                          │  watermark stability     │
 //!                                          │  canonical release order │
-//!                                          │  Detector<CompositeTs>   │
+//!                                          │  shared-plan detector    │
 //!                                          └──────────────────────────┘
 //! ```
 //!

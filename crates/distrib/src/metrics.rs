@@ -29,13 +29,11 @@ pub struct Metrics {
     pub batch_size_max: usize,
     /// Watermark-bounded release rounds that fed at least one notification.
     pub release_batches: u64,
-    /// Definition shards in the coordinator's event graph.
+    /// Global definitions compiled into the coordinator's plan.
     pub shard_count: usize,
-    /// Unique operator nodes in the coordinator's compiled plan (with the
-    /// unshared backends: total nodes across independent graphs).
+    /// Unique operator nodes in the coordinator's compiled plan.
     pub plan_nodes: usize,
-    /// Plan nodes shared by more than one definition (0 with plan sharing
-    /// disabled — every definition compiles independently).
+    /// Plan nodes shared by more than one definition.
     pub shared_nodes: usize,
     /// Fraction of operator instances eliminated by cross-definition
     /// sharing: `1 − plan_nodes / position_count`.
@@ -47,16 +45,9 @@ pub struct Metrics {
     pub node_buffered: usize,
     /// High-water mark of [`Metrics::node_buffered`].
     pub node_buffer_peak: usize,
-    /// Worker threads in the persistent shard pool (0 = serial path).
-    pub worker_count: usize,
-    /// Rounds dispatched to the pool (one per batch fan-out or cascade
-    /// wave; 0 on the serial path).
-    pub parallel_rounds: u64,
     /// Topological stages of the definition dependency DAG (1 when every
     /// definition is independent).
     pub stage_count: usize,
-    /// Cumulative busy time across pool workers, in nanoseconds.
-    pub pool_busy_ns: u64,
     /// Messages resent by site retransmission timers (aggregated over
     /// sites by the engine; 0 in a bare coordinator).
     pub retransmits: u64,
@@ -106,9 +97,6 @@ pub struct Metrics {
     /// High-water mark of bytes staged in the columnar batch's parameter
     /// arena during a release round.
     pub arena_bytes: u64,
-    /// Cumulative producer-side spins on full worker rings (lock-free
-    /// hand-off backpressure; 0 on the serial path).
-    pub ring_full_spins: u64,
     /// Site restarts (aggregated over sites by the engine; 0 in a bare
     /// coordinator).
     pub site_restarts: u64,
@@ -131,6 +119,13 @@ pub struct Metrics {
     /// from a dead incarnation, or new-incarnation data racing ahead of
     /// its (retransmitted) `Msg::Hello`.
     pub epoch_filtered: u64,
+    /// Sequence-numbered messages the coordinator dropped, unacked,
+    /// because they do not fit its deployment: a sender that owns no
+    /// stream here, a `Msg::Relay` or `Msg::Routed` at a classic
+    /// coordinator, site traffic on a peer-replica stream, or a relay from
+    /// a site, from this replica itself, or with a promise of the wrong
+    /// length. Zero in any well-formed deployment.
+    pub foreign_refused: u64,
     /// WAL append/sync failures surfaced (site or coordinator). Non-zero
     /// means durability has been disabled on the failing node and — for
     /// the coordinator — input consumption has halted to keep the log

@@ -13,7 +13,7 @@ use crate::protocol::{sack_valid, Msg, RoutedEvent};
 use decs_chronos::Nanos;
 use decs_core::{CompositeTimestamp, PrimitiveTimestamp};
 use decs_simnet::{Actor, Ctx, NodeIdx, SplitMix64};
-use decs_snoop::{Detector, EventId, FeedResult, GraphState, Occurrence, TimerId};
+use decs_snoop::{EventId, Occurrence, PlanDetector, PlanState, ShardFeedResult, ShardId, TimerId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
 use std::ops::Bound;
@@ -170,20 +170,20 @@ enum Stream {
 /// its event-id space to the coordinator's (synthetic node ids never leave
 /// the site).
 pub struct LocalDetection {
-    /// The site's own detection graph.
-    pub detector: Detector<CompositeTimestamp>,
+    /// The site's own detector.
+    pub detector: PlanDetector<CompositeTimestamp>,
     /// site EventId → coordinator EventId, for every named event.
     pub translate: HashMap<EventId, EventId>,
     /// Nanoseconds per global tick (to schedule local temporal operators).
     pub gg_nanos: u64,
-    timer_map: HashMap<u64, TimerId>,
+    timer_map: HashMap<u64, (ShardId, TimerId)>,
     next_tag: u64,
 }
 
 impl LocalDetection {
     /// Bundle a compiled site detector with its id translation table.
     pub fn new(
-        detector: Detector<CompositeTimestamp>,
+        detector: PlanDetector<CompositeTimestamp>,
         translate: HashMap<EventId, EventId>,
         gg_nanos: u64,
     ) -> Self {
@@ -283,7 +283,7 @@ pub struct SiteNode {
     /// Pristine local-detector state captured at configuration time and
     /// restored on restart: partial matches are volatile and die with the
     /// incarnation that accumulated them.
-    local_pristine: Option<GraphState<CompositeTimestamp>>,
+    local_pristine: Option<PlanState<CompositeTimestamp>>,
     /// Subscription-routed uplinks, one per coordinator replica. Empty in
     /// the classic single-coordinator deployment.
     uplinks: Vec<Uplink>,
@@ -459,7 +459,7 @@ impl SiteNode {
         local: LocalDetection,
     ) -> Self {
         let mut s = Self::new(coordinator, heartbeat_interval);
-        // Capture the graph's pristine state now, before any event feeds
+        // Capture the detector's pristine state now, before any event feeds
         // it: a restarted incarnation starts detection from scratch.
         s.local_pristine = Some(local.detector.save_state());
         s.local = Some(local);
@@ -677,13 +677,13 @@ impl SiteNode {
 
     /// Absorb a local feed result: count + forward detections, schedule
     /// local timers.
-    fn absorb_local(&mut self, r: FeedResult<CompositeTimestamp>, ctx: &mut Ctx<'_, Msg>) {
+    fn absorb_local(&mut self, r: ShardFeedResult<CompositeTimestamp>, ctx: &mut Ctx<'_, Msg>) {
         let gen = self.gen;
         if let Some(local) = &mut self.local {
-            for t in r.timers {
+            for (def, t) in r.timers {
                 let tag = LOCAL_TIMER_BASE + local.next_tag;
                 local.next_tag += 1;
-                local.timer_map.insert(tag, t.id);
+                local.timer_map.insert(tag, (def, t.id));
                 ctx.set_timer(
                     Nanos(t.delay_ticks * local.gg_nanos),
                     (gen << GEN_SHIFT) | tag,
@@ -789,7 +789,7 @@ impl SiteNode {
                 local
                     .detector
                     .restore_state(p)
-                    .expect("pristine state restores into its own graph");
+                    .expect("pristine state restores into its own detector");
             }
         }
         // The in-memory epoch survives the simulated crash and stands in
@@ -1023,8 +1023,8 @@ impl Actor for SiteNode {
             parts.local,
         ));
         let result = self.local.as_mut().and_then(|local| {
-            let timer_id = local.timer_map.remove(&tag)?;
-            local.detector.fire_timer(timer_id, ts).ok()
+            let (def, timer_id) = local.timer_map.remove(&tag)?;
+            local.detector.fire_timer(def, timer_id, ts).ok()
         });
         if let Some(r) = result {
             self.absorb_local(r, ctx);

@@ -187,3 +187,56 @@ fn local_temporal_operator_uses_site_clock() {
     // ≈ 1.5 s of site-1 clock time → global tick ≈ 15.
     assert!((14..=16).contains(&member.global().get()), "{member}");
 }
+
+#[test]
+fn restarted_site_forgets_its_partial_local_match() {
+    // Site 0 holds half of a local SEQ (an unmatched `req`) when it
+    // crashes. Partial matches are volatile: the restarted incarnation
+    // starts from the freshly compiled detector state, so the first
+    // post-restart `resp` completes nothing.
+    let build = || {
+        Engine::with_local(
+            &scenario(2),
+            EngineConfig::default(),
+            &["req", "resp"],
+            &[(
+                "round_trip",
+                E::seq(E::prim("req"), E::prim("resp")),
+                Context::Chronicle,
+            )],
+            &[],
+        )
+        .unwrap()
+    };
+    let post_restart = [(3, "resp"), (4, "req"), (5, "resp")];
+    let mut crashed = build();
+    crashed
+        .inject(Nanos::from_secs(1), 0, "req", vec![])
+        .unwrap();
+    crashed.crash_site(Nanos::from_millis(1_500), 0);
+    crashed.restart_site(Nanos::from_millis(2_000), 0);
+    for (s, name) in post_restart {
+        crashed
+            .inject(Nanos::from_secs(s), 0, name, vec![])
+            .unwrap();
+    }
+    let got = crashed.run_for(Nanos::from_secs(8));
+    assert_eq!(crashed.metrics().site_restarts, 1);
+    // Only the post-restart pair matched: the pre-crash opener did not
+    // complete with the 3 s `resp`.
+    assert_eq!(crashed.local_detections(0), 1);
+
+    // The same post-restart events through a fresh engine.
+    let mut fresh = build();
+    for (s, name) in post_restart {
+        fresh.inject(Nanos::from_secs(s), 0, name, vec![]).unwrap();
+    }
+    let want = fresh.run_for(Nanos::from_secs(8));
+    let key = |d: &decs_distrib::Detection| (d.name.clone(), d.occ.clone());
+    assert!(!want.is_empty());
+    assert_eq!(
+        got.iter().map(key).collect::<Vec<_>>(),
+        want.iter().map(key).collect::<Vec<_>>()
+    );
+    assert_eq!(crashed.local_detections(0), fresh.local_detections(0));
+}

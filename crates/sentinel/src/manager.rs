@@ -48,7 +48,7 @@ impl RuleEngine {
     /// Rules compile into the shared-plan backend, so rule sets with
     /// overlapping event expressions share operator state.
     pub fn new() -> Self {
-        let mut detector = CentralDetector::plan();
+        let mut detector = CentralDetector::new();
         for n in ["txn_begin", "txn_commit", "txn_abort"] {
             detector.register(n).expect("fresh catalog");
         }

@@ -34,9 +34,9 @@
 //! dense column) and the downstream operator compares therefore never
 //! re-derive anything from the member list, no matter how wide the stamp.
 //!
-//! The per-event path (`feed`/`feed_bare`) survives untouched as the
-//! differential oracle — `tests/prop_ingest.rs` pins columnar ingestion
-//! bit-identical to it across every context, GC mode and worker count.
+//! `tests/prop_ingest.rs` pins columnar ingestion through the plan
+//! bit-identical to per-event feeding of the reference interpreter across
+//! every context and GC mode.
 
 use crate::event::{fresh_uid, EventId, Occurrence, ParamList, ParamTuple, Value};
 use crate::time::EventTime;
@@ -280,7 +280,7 @@ impl<T: EventTime> EventBatch<T> {
     }
 
     /// Materialize every event whose type passes `routed` into plain
-    /// occurrences, in order (the pooled fan-out paths consume `Vec`s).
+    /// occurrences, in order (the plan's batch feed consumes a `Vec`).
     pub(crate) fn materialize_routed(
         &self,
         routed: impl Fn(EventId) -> bool,

@@ -1,123 +1,30 @@
-//! Detection drivers.
+//! The centralized detection driver.
 //!
-//! [`Detector`] wraps a catalog and a graph for any time domain and leaves
-//! timer servicing to the caller. [`CentralDetector`] is the Section 3
-//! centralized semantics: time is a total-order tick counter, so the driver
-//! itself can service timer requests from a priority queue — feeding an
-//! occurrence at tick `t` first fires every timer due at or before `t`.
+//! [`CentralDetector`] is the Section 3 centralized semantics: time is a
+//! total-order tick counter, so the driver itself can service timer
+//! requests from a priority queue — feeding an occurrence at tick `t`
+//! first fires every timer due at or before `t`. Detection runs on the
+//! shared-plan [`PlanDetector`], the same backend the distributed
+//! coordinator uses.
 
 use crate::batch::EventBatch;
 use crate::context::Context;
 use crate::error::Result;
 use crate::event::{Catalog, EventId, Occurrence, Value};
 use crate::expr::EventExpr;
-use crate::graph::{EventGraph, FeedResult, TimerId, TimerRequest};
-use crate::plan::{PlanDetector, PlanStats};
-use crate::shard::{ShardId, ShardedDetector};
-use crate::time::{CentralTime, EventTime};
+use crate::graph::TimerId;
+use crate::plan::{PlanDetector, PlanStats, ShardFeedResult, ShardId};
+use crate::time::CentralTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// A catalog + graph pair for any time domain. Timer requests surface in
-/// the returned [`FeedResult`]; the caller decides how to schedule them.
-#[derive(Debug, Default)]
-pub struct Detector<T: EventTime> {
-    catalog: Catalog,
-    graph: EventGraph<T>,
-}
-
-impl<T: EventTime> Detector<T> {
-    /// An empty detector.
-    pub fn new() -> Self {
-        Detector {
-            catalog: Catalog::new(),
-            graph: EventGraph::new(),
-        }
-    }
-
-    /// Register a primitive event type.
-    pub fn register(&mut self, name: &str) -> Result<EventId> {
-        self.catalog.register(name)
-    }
-
-    /// Define a named composite event.
-    pub fn define(&mut self, name: &str, expr: &EventExpr, ctx: Context) -> Result<EventId> {
-        self.graph.compile(&mut self.catalog, name, expr, ctx)
-    }
-
-    /// The catalog (name ↔ id mapping).
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// The underlying graph.
-    pub fn graph(&self) -> &EventGraph<T> {
-        &self.graph
-    }
-
-    /// Feed a primitive occurrence.
-    pub fn feed(&mut self, occ: Occurrence<T>) -> FeedResult<T> {
-        self.graph.feed(occ)
-    }
-
-    /// Feed by name with parameters.
-    pub fn feed_named(&mut self, name: &str, time: T, values: Vec<Value>) -> Result<FeedResult<T>> {
-        let ty = self.catalog.lookup(name)?;
-        Ok(self.graph.feed(Occurrence::primitive(ty, time, values)))
-    }
-
-    /// Deliver a timer with a driver-assigned timestamp.
-    pub fn fire_timer(&mut self, id: TimerId, time: T) -> Result<FeedResult<T>> {
-        self.graph.fire_timer(id, time)
-    }
-
-    /// Advance the low watermark: the caller promises every future stamp's
-    /// global ticks are `≥ low`. Evicts provably-dead buffered state and
-    /// returns the evicted count (see [`EventGraph::advance_watermark`]).
-    pub fn advance_watermark(&mut self, low: u64) -> u64 {
-        self.graph.advance_watermark(low)
-    }
-
-    /// Total occurrences buffered across operator nodes.
-    pub fn buffered_occupancy(&self) -> usize {
-        self.graph.buffered_occupancy()
-    }
-
-    /// Capture the graph's buffered operator state (see
-    /// [`EventGraph::save_state`]). A state saved from a freshly compiled
-    /// detector doubles as a "pristine" image to reset to after a site
-    /// restart.
-    pub fn save_state(&self) -> crate::state::GraphState<T> {
-        self.graph.save_state()
-    }
-
-    /// Restore previously saved operator state into this detector's graph
-    /// (see [`EventGraph::restore_state`]).
-    pub fn restore_state(&mut self, state: crate::state::GraphState<T>) -> Result<()> {
-        self.graph.restore_state(state)
-    }
-}
-
-/// Backend of a [`CentralDetector`]: one monolithic graph (the default),
-/// one graph per definition (batch fan-out and — with the `parallel`
-/// feature — the persistent worker pool), or the hash-consed shared plan,
-/// which adds cross-definition operator sharing on top of the sharded
-/// execution model.
-#[derive(Debug)]
-enum Core {
-    Mono(Detector<CentralTime>),
-    Sharded(ShardedDetector<CentralTime>),
-    Plan(PlanDetector<CentralTime>),
-}
 
 /// The centralized detector (Section 3): totally ordered ticks with an
 /// internal timer queue. Occurrences must be fed in non-decreasing tick
 /// order (as a single physical clock produces them).
 #[derive(Debug)]
 pub struct CentralDetector {
-    core: Core,
-    /// Due timers: `(fire_tick, owning shard, id)`, min-heap. The shard is
-    /// always 0 with the monolithic backend.
+    plan: PlanDetector<CentralTime>,
+    /// Due timers: `(fire_tick, owning definition, id)`, min-heap.
     timers: BinaryHeap<Reverse<(u64, ShardId, u64)>>,
     /// Highest tick seen (for monotonicity checking).
     now: u64,
@@ -136,32 +43,10 @@ impl Default for CentralDetector {
 }
 
 impl CentralDetector {
-    /// An empty centralized detector over one monolithic graph.
+    /// An empty centralized detector.
     pub fn new() -> Self {
-        Self::with_core(Core::Mono(Detector::new()))
-    }
-
-    /// An empty centralized detector with the definition-sharded backend:
-    /// every `define` compiles into its own shard, so [`Self::feed_batch`]
-    /// can fan a batch out across definitions and (with the `parallel`
-    /// feature) run it on a persistent worker pool. Detection output is
-    /// identical to the monolithic backend.
-    pub fn sharded() -> Self {
-        Self::with_core(Core::Sharded(ShardedDetector::new()))
-    }
-
-    /// An empty centralized detector with the hash-consed shared-plan
-    /// backend: definitions compile into one plan of unique operator
-    /// nodes, so structurally identical subexpressions across definitions
-    /// execute once per trigger (see [`PlanDetector`]). Detection output
-    /// is identical to the other backends.
-    pub fn plan() -> Self {
-        Self::with_core(Core::Plan(PlanDetector::new()))
-    }
-
-    fn with_core(core: Core) -> Self {
         CentralDetector {
-            core,
+            plan: PlanDetector::new(),
             timers: BinaryHeap::new(),
             now: 0,
             gc: true,
@@ -170,105 +55,20 @@ impl CentralDetector {
         }
     }
 
-    /// Attach a persistent worker pool to the sharded or plan backend
-    /// (see [`ShardedDetector::enable_pool`]). Returns `true` if the pool
-    /// was attached; the monolithic backend always runs serially.
-    #[cfg(feature = "parallel")]
-    pub fn enable_worker_pool(&mut self, workers: usize) -> bool {
-        match &mut self.core {
-            Core::Sharded(s) => {
-                s.enable_pool(workers);
-                true
-            }
-            Core::Plan(p) => {
-                p.enable_pool(workers);
-                true
-            }
-            Core::Mono(_) => false,
-        }
-    }
-
-    /// Like [`Self::enable_worker_pool`] but bypassing the backend's
-    /// available-parallelism cap (see [`ShardedDetector::enable_pool_exact`]).
-    #[cfg(feature = "parallel")]
-    pub fn enable_worker_pool_exact(&mut self, workers: usize) -> bool {
-        match &mut self.core {
-            Core::Sharded(s) => {
-                s.enable_pool_exact(workers);
-                true
-            }
-            Core::Plan(p) => {
-                p.enable_pool_exact(workers);
-                true
-            }
-            Core::Mono(_) => false,
-        }
-    }
-
-    /// Worker threads in the pool (0 = serial / monolithic backend).
-    pub fn worker_count(&self) -> usize {
-        match &self.core {
-            Core::Sharded(s) => s.worker_count(),
-            Core::Plan(p) => p.worker_count(),
-            Core::Mono(_) => 0,
-        }
-    }
-
-    /// Backoff steps spent waiting on full or empty pool rings so far
-    /// (0 = serial or never contended).
-    pub fn ring_full_spins(&self) -> u64 {
-        match &self.core {
-            Core::Sharded(s) => s.ring_full_spins(),
-            Core::Plan(p) => p.ring_full_spins(),
-            Core::Mono(_) => 0,
-        }
-    }
-
-    /// Topological stages in the definition dependency DAG (1 for the
-    /// monolithic backend, which is a single stage by construction).
+    /// Topological stages in the definition dependency DAG.
     pub fn stage_count(&self) -> usize {
-        match &self.core {
-            Core::Sharded(s) => s.stage_count(),
-            Core::Plan(p) => p.stage_count(),
-            Core::Mono(_) => 1,
-        }
+        self.plan.stage_count()
     }
 
     /// Smallest timer delay any definition can request, or `None` when no
     /// definition uses a temporal operator (`+`, `P`, `P*`).
     pub fn min_timer_delay(&self) -> Option<u64> {
-        match &self.core {
-            Core::Mono(d) => d.graph().min_timer_delay(),
-            Core::Sharded(s) => s.min_timer_delay(),
-            Core::Plan(p) => p.min_timer_delay(),
-        }
+        self.plan.min_timer_delay()
     }
 
-    /// Plan statistics for the active backend. The monolithic and sharded
-    /// backends compile every definition independently, so they report
-    /// zero shared nodes and a sharing ratio of 0.
+    /// Sharing statistics of the compiled plan.
     pub fn plan_stats(&self) -> PlanStats {
-        match &self.core {
-            Core::Mono(d) => {
-                let n = d.graph().node_count();
-                PlanStats {
-                    plan_nodes: n,
-                    shared_nodes: 0,
-                    position_count: n,
-                    sharing_ratio: 0.0,
-                }
-            }
-            Core::Sharded(s) => {
-                let n = s.node_count();
-                PlanStats {
-                    plan_nodes: n,
-                    shared_nodes: 0,
-                    position_count: n,
-                    sharing_ratio: 0.0,
-                }
-            }
-            Core::Plan(p) => p.plan_stats(),
-        }
+        self.plan.plan_stats()
     }
 
     /// Enable or disable clock-driven buffer GC (on by default). GC is
@@ -284,11 +84,7 @@ impl CentralDetector {
 
     /// Occurrences currently buffered across operator nodes.
     pub fn buffered_occupancy(&self) -> usize {
-        match &self.core {
-            Core::Mono(d) => d.buffered_occupancy(),
-            Core::Sharded(s) => s.buffered_occupancy(),
-            Core::Plan(p) => p.buffered_occupancy(),
-        }
+        self.plan.buffered_occupancy()
     }
 
     /// Highest occupancy observed at a GC point (post-eviction).
@@ -298,29 +94,17 @@ impl CentralDetector {
 
     /// Register a primitive event type.
     pub fn register(&mut self, name: &str) -> Result<EventId> {
-        match &mut self.core {
-            Core::Mono(d) => d.register(name),
-            Core::Sharded(s) => s.register(name),
-            Core::Plan(p) => p.register(name),
-        }
+        self.plan.register(name)
     }
 
     /// Define a named composite event.
     pub fn define(&mut self, name: &str, expr: &EventExpr, ctx: Context) -> Result<EventId> {
-        match &mut self.core {
-            Core::Mono(d) => d.define(name, expr, ctx),
-            Core::Sharded(s) => s.define(name, expr, ctx),
-            Core::Plan(p) => p.define(name, expr, ctx),
-        }
+        self.plan.define(name, expr, ctx)
     }
 
     /// The catalog.
     pub fn catalog(&self) -> &Catalog {
-        match &self.core {
-            Core::Mono(d) => d.catalog(),
-            Core::Sharded(s) => s.catalog(),
-            Core::Plan(p) => p.catalog(),
-        }
+        self.plan.catalog()
     }
 
     /// The current clock tick (highest seen).
@@ -332,26 +116,13 @@ impl CentralDetector {
     /// composite occurrences those timers produced.
     pub fn advance_to(&mut self, tick: u64) -> Result<Vec<Occurrence<CentralTime>>> {
         let mut detected = Vec::new();
-        while let Some(&Reverse((due, shard, id))) = self.timers.peek() {
+        while let Some(&Reverse((due, def, id))) = self.timers.peek() {
             if due > tick {
                 break;
             }
             self.timers.pop();
-            let (det, timers) = match &mut self.core {
-                Core::Mono(d) => {
-                    let r = d.fire_timer(TimerId(id), CentralTime(due))?;
-                    (r.detected, tag_mono(r.timers))
-                }
-                Core::Sharded(s) => {
-                    let r = s.fire_timer(shard, TimerId(id), CentralTime(due))?;
-                    (r.detected, r.timers)
-                }
-                Core::Plan(p) => {
-                    let r = p.fire_timer(shard, TimerId(id), CentralTime(due))?;
-                    (r.detected, r.timers)
-                }
-            };
-            self.absorb(det, timers, due, &mut detected);
+            let r = self.plan.fire_timer(def, TimerId(id), CentralTime(due))?;
+            self.absorb(r, due, &mut detected);
         }
         self.now = self.now.max(tick);
         if self.gc {
@@ -386,11 +157,10 @@ impl CentralDetector {
     /// Feed a whole batch of `(name, tick, values)` triples (ticks
     /// non-decreasing). Semantically identical to calling [`Self::feed`]
     /// on each triple in order. Timer-free definition sets are fed through
-    /// the backend's batch path in stretches split at due-timer boundaries
-    /// — with the sharded backend that is [`ShardedDetector::feed_batch`],
-    /// which runs on the worker pool when one is enabled. Definition sets
-    /// with temporal operators arm timers whose due ticks derive from the
-    /// arming occurrence, so they keep the ordered per-occurrence path.
+    /// [`PlanDetector::feed_batch`] in stretches split at due-timer
+    /// boundaries. Definition sets with temporal operators arm timers whose
+    /// due ticks derive from the arming occurrence, so they keep the
+    /// ordered per-occurrence path.
     pub fn feed_batch(
         &mut self,
         batch: Vec<(&str, u64, Vec<Value>)>,
@@ -426,28 +196,9 @@ impl CentralDetector {
                 .max(1);
             let prefix: Vec<_> = occs.drain(..split).collect();
             let last = prefix.last().expect("split ≥ 1").time.get();
-            let (det, timers) = match &mut self.core {
-                Core::Mono(d) => {
-                    let mut det = Vec::new();
-                    let mut tmr = Vec::new();
-                    for occ in prefix {
-                        let r = d.feed(occ);
-                        det.extend(r.detected);
-                        tmr.extend(tag_mono(r.timers));
-                    }
-                    (det, tmr)
-                }
-                Core::Sharded(s) => {
-                    let r = s.feed_batch(prefix);
-                    (r.detected, r.timers)
-                }
-                Core::Plan(p) => {
-                    let r = p.feed_batch(prefix);
-                    (r.detected, r.timers)
-                }
-            };
-            debug_assert!(timers.is_empty(), "timer-free graph armed a timer");
-            self.absorb(det, timers, last, &mut out);
+            let r = self.plan.feed_batch(prefix);
+            debug_assert!(r.timers.is_empty(), "timer-free graph armed a timer");
+            self.absorb(r, last, &mut out);
             self.now = self.now.max(last);
         }
         if self.gc {
@@ -459,8 +210,8 @@ impl CentralDetector {
     /// Feed a columnar batch (ticks non-decreasing). Semantically
     /// identical to materializing every row and calling [`Self::feed`] on
     /// each in order, but the hot path stays struct-of-arrays: timer-free
-    /// definition sets hand the whole batch to the backend's columnar
-    /// path (which materializes only routed rows), the clock advances
+    /// definition sets hand the whole batch to the plan's columnar path
+    /// (which materializes only routed rows), the clock advances
     /// once per stretch instead of once per row, and watermark GC runs
     /// once per call instead of once per occurrence.
     pub fn feed_columnar(
@@ -490,36 +241,13 @@ impl CentralDetector {
                 split += 1;
             }
             let last = batch.time(split - 1).get();
-            let (det, timers) = match &mut self.core {
-                Core::Mono(d) => {
-                    let mut det = Vec::new();
-                    let mut tmr = Vec::new();
-                    for k in i..split {
-                        let r = d.feed(batch.occurrence(k));
-                        det.extend(r.detected);
-                        tmr.extend(tag_mono(r.timers));
-                    }
-                    (det, tmr)
-                }
-                Core::Sharded(s) => {
-                    let r = if i == 0 && split == n {
-                        s.feed_batch_columnar(batch)
-                    } else {
-                        s.feed_batch(batch.materialize_range(i..split))
-                    };
-                    (r.detected, r.timers)
-                }
-                Core::Plan(p) => {
-                    let r = if i == 0 && split == n {
-                        p.feed_batch_columnar(batch)
-                    } else {
-                        p.feed_batch(batch.materialize_range(i..split))
-                    };
-                    (r.detected, r.timers)
-                }
+            let r = if i == 0 && split == n {
+                self.plan.feed_batch_columnar(batch)
+            } else {
+                self.plan.feed_batch(batch.materialize_range(i..split))
             };
-            debug_assert!(timers.is_empty(), "timer-free graph armed a timer");
-            self.absorb(det, timers, last, &mut out);
+            debug_assert!(r.timers.is_empty(), "timer-free graph armed a timer");
+            self.absorb(r, last, &mut out);
             self.now = self.now.max(last);
             i = split;
         }
@@ -540,58 +268,36 @@ impl CentralDetector {
         base_tick: u64,
         detected: &mut Vec<Occurrence<CentralTime>>,
     ) {
-        let (det, timers) = match &mut self.core {
-            Core::Mono(d) => {
-                let r = d.feed(occ);
-                (r.detected, tag_mono(r.timers))
-            }
-            Core::Sharded(s) => {
-                let r = s.feed(occ);
-                (r.detected, r.timers)
-            }
-            Core::Plan(p) => {
-                let r = p.feed(occ);
-                (r.detected, r.timers)
-            }
-        };
-        self.absorb(det, timers, base_tick, detected);
+        let r = self.plan.feed(occ);
+        self.absorb(r, base_tick, detected);
     }
 
+    /// Queue a feed result's timer requests relative to `base_tick` and
+    /// append its detections.
     fn absorb(
         &mut self,
-        det: Vec<Occurrence<CentralTime>>,
-        timers: Vec<(ShardId, TimerRequest)>,
+        r: ShardFeedResult<CentralTime>,
         base_tick: u64,
         detected: &mut Vec<Occurrence<CentralTime>>,
     ) {
-        for (shard, t) in timers {
+        for (def, t) in r.timers {
             self.timers
-                .push(Reverse((base_tick + t.delay_ticks, shard, t.id.0)));
+                .push(Reverse((base_tick + t.delay_ticks, def, t.id.0)));
         }
-        detected.extend(det);
+        detected.extend(r.detected);
     }
 
     fn run_gc(&mut self) {
-        let low = self.now;
-        let evicted = match &mut self.core {
-            Core::Mono(d) => d.advance_watermark(low),
-            Core::Sharded(s) => s.advance_watermark(low),
-            Core::Plan(p) => p.advance_watermark(low),
-        };
-        self.gc_evicted += evicted;
+        self.gc_evicted += self.plan.advance_watermark(self.now);
         self.buffer_peak = self.buffer_peak.max(self.buffered_occupancy());
     }
-}
-
-/// Tag a monolithic graph's timer requests with the lone shard id 0.
-fn tag_mono(timers: Vec<TimerRequest>) -> Vec<(ShardId, TimerRequest)> {
-    timers.into_iter().map(|t| (0, t)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::EventExpr as E;
+    use crate::reference::ReferenceDetector;
 
     fn detector_with(expr: EventExpr, ctx: Context) -> CentralDetector {
         let mut d = CentralDetector::new();
@@ -725,21 +431,27 @@ mod tests {
 
     /// Two cross-referencing timer-free definitions plus one timer def
     /// when `with_timers` — exercises both feed_batch arms.
+    fn defs(with_timers: bool) -> Vec<(&'static str, EventExpr, Context)> {
+        let mut defs = vec![
+            ("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle),
+            (
+                "Y",
+                E::and(E::prim("X"), E::prim("C")),
+                Context::Unrestricted,
+            ),
+        ];
+        if with_timers {
+            defs.push(("D", E::plus(E::prim("C"), 3), Context::Chronicle));
+        }
+        defs
+    }
+
     fn populate(d: &mut CentralDetector, with_timers: bool) {
         for n in ["A", "B", "C"] {
             d.register(n).unwrap();
         }
-        d.define("X", &E::seq(E::prim("A"), E::prim("B")), Context::Chronicle)
-            .unwrap();
-        d.define(
-            "Y",
-            &E::and(E::prim("X"), E::prim("C")),
-            Context::Unrestricted,
-        )
-        .unwrap();
-        if with_timers {
-            d.define("D", &E::plus(E::prim("C"), 3), Context::Chronicle)
-                .unwrap();
+        for (name, expr, ctx) in defs(with_timers) {
+            d.define(name, &expr, ctx).unwrap();
         }
     }
 
@@ -756,7 +468,48 @@ mod tests {
         ]
     }
 
-    fn run_serial(mut d: CentralDetector, with_timers: bool) -> Vec<(String, u64)> {
+    /// The oracle: the reference interpreter fed one occurrence at a
+    /// time, every timer due at or before a feed's tick fired first.
+    fn run_reference(with_timers: bool) -> Vec<(String, u64)> {
+        let mut d = ReferenceDetector::new();
+        for n in ["A", "B", "C"] {
+            d.register(n).unwrap();
+        }
+        for (name, expr, ctx) in defs(with_timers) {
+            d.define(name, &expr, ctx).unwrap();
+        }
+        let mut due = BinaryHeap::new();
+        let mut out = Vec::new();
+        let mut absorb = |r: ShardFeedResult<CentralTime>, base: u64, due: &mut BinaryHeap<_>| {
+            for (s, t) in r.timers {
+                due.push(Reverse((base + t.delay_ticks, s, t.id.0)));
+            }
+            out.extend(r.detected);
+        };
+        let feeds = batch_trace().into_iter().map(Some).chain([None]);
+        for step in feeds {
+            let tick = step.map_or(100, |(_, t)| t);
+            while let Some(&Reverse((at, s, id))) = due.peek() {
+                if at > tick {
+                    break;
+                }
+                due.pop();
+                let r = d.fire_timer(s, TimerId(id), CentralTime(at)).unwrap();
+                absorb(r, at, &mut due);
+            }
+            if let Some((name, t)) = step {
+                let ty = d.catalog().lookup(name).unwrap();
+                let r = d.feed(Occurrence::bare(ty, CentralTime(t)));
+                absorb(r, t, &mut due);
+            }
+        }
+        out.iter()
+            .map(|o| (d.catalog().name(o.ty).to_owned(), o.time.get()))
+            .collect()
+    }
+
+    fn run_serial(with_timers: bool) -> Vec<(String, u64)> {
+        let mut d = CentralDetector::new();
         populate(&mut d, with_timers);
         let mut out = Vec::new();
         for (n, t) in batch_trace() {
@@ -768,7 +521,8 @@ mod tests {
             .collect()
     }
 
-    fn run_batched(mut d: CentralDetector, with_timers: bool) -> Vec<(String, u64)> {
+    fn run_batched(with_timers: bool) -> Vec<(String, u64)> {
+        let mut d = CentralDetector::new();
         populate(&mut d, with_timers);
         let batch = batch_trace()
             .into_iter()
@@ -781,49 +535,8 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn sharded_backend_matches_mono() {
-        for with_timers in [false, true] {
-            let mono = run_serial(CentralDetector::new(), with_timers);
-            let sharded = run_serial(CentralDetector::sharded(), with_timers);
-            assert!(!mono.is_empty());
-            assert_eq!(mono, sharded, "with_timers={with_timers}");
-        }
-    }
-
-    #[test]
-    fn plan_backend_matches_mono() {
-        for with_timers in [false, true] {
-            let mono = run_serial(CentralDetector::new(), with_timers);
-            let plan = run_serial(CentralDetector::plan(), with_timers);
-            assert!(!mono.is_empty());
-            assert_eq!(mono, plan, "with_timers={with_timers}");
-        }
-    }
-
-    #[test]
-    fn feed_batch_equals_serial_feeds_on_all_backends() {
-        for with_timers in [false, true] {
-            let reference = run_serial(CentralDetector::new(), with_timers);
-            assert_eq!(
-                run_batched(CentralDetector::new(), with_timers),
-                reference,
-                "mono, with_timers={with_timers}"
-            );
-            assert_eq!(
-                run_batched(CentralDetector::sharded(), with_timers),
-                reference,
-                "sharded, with_timers={with_timers}"
-            );
-            assert_eq!(
-                run_batched(CentralDetector::plan(), with_timers),
-                reference,
-                "plan, with_timers={with_timers}"
-            );
-        }
-    }
-
-    fn run_columnar(mut d: CentralDetector, with_timers: bool) -> Vec<(String, u64)> {
+    fn run_columnar(with_timers: bool) -> Vec<(String, u64)> {
+        let mut d = CentralDetector::new();
         populate(&mut d, with_timers);
         let mut batch = EventBatch::new();
         for (n, t) in batch_trace() {
@@ -838,91 +551,48 @@ mod tests {
     }
 
     #[test]
-    fn feed_columnar_equals_serial_feeds_on_all_backends() {
+    fn serial_feeds_match_reference() {
         for with_timers in [false, true] {
-            let reference = run_serial(CentralDetector::new(), with_timers);
-            for make in [
-                CentralDetector::new,
-                CentralDetector::sharded,
-                CentralDetector::plan,
-            ] {
-                assert_eq!(
-                    run_columnar(make(), with_timers),
-                    reference,
-                    "with_timers={with_timers}"
-                );
-            }
+            let reference = run_reference(with_timers);
+            assert!(!reference.is_empty());
+            assert_eq!(
+                run_serial(with_timers),
+                reference,
+                "with_timers={with_timers}"
+            );
         }
     }
 
     #[test]
-    fn plan_stats_report_sharing_only_on_plan_backend() {
-        // Two definitions over the same Seq(A, B) body: the plan backend
-        // shares the Seq node; the others compile it twice.
-        let build = |mut d: CentralDetector| {
-            for n in ["A", "B", "C"] {
-                d.register(n).unwrap();
-            }
-            let body = E::seq(E::prim("A"), E::prim("B"));
-            d.define("X", &body, Context::Chronicle).unwrap();
-            d.define("Y", &body, Context::Chronicle).unwrap();
-            d
-        };
-        let plan = build(CentralDetector::plan()).plan_stats();
-        assert_eq!(plan.shared_nodes, 1);
-        assert!(plan.sharing_ratio > 0.0);
-        assert!(plan.position_count > plan.plan_nodes);
-        for other in [
-            build(CentralDetector::new()).plan_stats(),
-            build(CentralDetector::sharded()).plan_stats(),
-        ] {
-            assert_eq!(other.shared_nodes, 0);
-            assert_eq!(other.sharing_ratio, 0.0);
-            assert_eq!(other.position_count, other.plan_nodes);
+    fn feed_batch_equals_serial_feeds() {
+        for with_timers in [false, true] {
+            assert_eq!(
+                run_batched(with_timers),
+                run_reference(with_timers),
+                "with_timers={with_timers}"
+            );
+        }
+    }
+
+    #[test]
+    fn feed_columnar_equals_serial_feeds() {
+        for with_timers in [false, true] {
+            assert_eq!(
+                run_columnar(with_timers),
+                run_reference(with_timers),
+                "with_timers={with_timers}"
+            );
         }
     }
 
     #[test]
     fn min_timer_delay_reports_temporal_operators() {
-        let mut d = CentralDetector::sharded();
+        let mut d = CentralDetector::new();
         populate(&mut d, false);
         assert_eq!(d.min_timer_delay(), None);
-        let mut d = CentralDetector::sharded();
+        let mut d = CentralDetector::new();
         populate(&mut d, true);
         assert_eq!(d.min_timer_delay(), Some(3));
         assert_eq!(d.stage_count(), 2); // Y references X
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn pooled_sharded_backend_matches_mono_batches() {
-        for with_timers in [false, true] {
-            let reference = run_serial(CentralDetector::new(), with_timers);
-            for make in [CentralDetector::sharded, CentralDetector::plan] {
-                let mut d = make();
-                populate(&mut d, with_timers);
-                assert!(d.enable_worker_pool_exact(2));
-                assert_eq!(d.worker_count(), 2);
-                let batch = batch_trace()
-                    .into_iter()
-                    .map(|(n, t)| (n, t, Vec::new()))
-                    .collect();
-                let mut out = d.feed_batch(batch).unwrap();
-                out.extend(d.advance_to(100).unwrap());
-                let got: Vec<(String, u64)> = out
-                    .iter()
-                    .map(|o| (d.name_of(o).to_owned(), o.time.get()))
-                    .collect();
-                assert_eq!(got, reference, "with_timers={with_timers}");
-            }
-        }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn enable_worker_pool_is_rejected_on_mono_backend() {
-        let mut d = CentralDetector::new();
-        assert!(!d.enable_worker_pool(4));
-        assert_eq!(d.worker_count(), 0);
     }
 }

@@ -20,7 +20,6 @@ use crate::error::{Result, SnoopError};
 use crate::event::{Catalog, EventId, Occurrence};
 use crate::expr::EventExpr;
 use crate::nodes::{self, OperatorNode, Sink};
-use crate::state::GraphState;
 use crate::time::EventTime;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -130,8 +129,8 @@ impl<T: EventTime> EventGraph<T> {
 
     /// The event types this graph has graph-level subscriptions for: the
     /// primitive (and referenced named-composite) types that can make it
-    /// react. Feeding any other type is a no-op. Used by the sharded
-    /// detector to build its per-shard routing index.
+    /// react. Feeding any other type is a no-op. Used by the reference
+    /// interpreter to build its per-definition routing index.
     pub fn subscribed_types(&self) -> impl Iterator<Item = EventId> + '_ {
         self.subs.keys().copied()
     }
@@ -392,7 +391,7 @@ impl<T: EventTime> EventGraph<T> {
 
     /// Feed by reference: clones once per subscriber edge, never for the
     /// graph itself. Callers that fan one occurrence out to several graphs
-    /// (the sharded detector's routing) use this to avoid a clone per
+    /// (the reference interpreter's routing) use this to avoid a clone per
     /// graph.
     pub fn feed_ref(&mut self, occ: &Occurrence<T>) -> FeedResult<T> {
         let mut result = FeedResult::new();
@@ -421,90 +420,6 @@ impl<T: EventTime> EventGraph<T> {
         self.postprocess(node, emissions, timer_reqs, &mut queue, &mut result);
         self.drain(queue, &mut result);
         Ok(result)
-    }
-
-    /// Number of outstanding timers (for driver bookkeeping/tests).
-    pub fn pending_timer_count(&self) -> usize {
-        self.timers.len()
-    }
-
-    /// Smallest delay any node in this graph can request a timer with, or
-    /// `None` when the graph contains no temporal operators. Batching
-    /// drivers rely on the resulting bound: an occurrence fed at tick `t`
-    /// cannot enqueue a timer due before `t + min` (see
-    /// [`OperatorNode::min_timer_delay`]).
-    pub fn min_timer_delay(&self) -> Option<u64> {
-        self.nodes
-            .iter()
-            .filter_map(|entry| entry.op.min_timer_delay())
-            .min()
-    }
-
-    /// The driver's low watermark advanced to `low`: let every operator
-    /// node garbage-collect buffered state the watermark proves dead (see
-    /// [`OperatorNode::on_watermark`]). Returns the total number of evicted
-    /// entries. Behavior-preserving: the detection stream is unchanged.
-    pub fn advance_watermark(&mut self, low: u64) -> u64 {
-        self.nodes
-            .iter_mut()
-            .map(|entry| entry.op.on_watermark(low))
-            .sum()
-    }
-
-    /// Total occurrences buffered across all operator nodes (occupancy
-    /// metric; see [`OperatorNode::buffered_len`]).
-    pub fn buffered_occupancy(&self) -> usize {
-        self.nodes.iter().map(|entry| entry.op.buffered_len()).sum()
-    }
-
-    /// Serialize the buffered state of every operator node plus the
-    /// pending-timer table (see [`crate::state`]).
-    pub fn save_state(&self) -> GraphState<T> {
-        let mut timers: Vec<(u64, u32, u64)> = self
-            .timers
-            .iter()
-            .map(|(id, &(node, tag))| (id.0, node.0, tag))
-            .collect();
-        timers.sort_unstable();
-        GraphState {
-            nodes: self.nodes.iter().map(|e| e.op.save_state()).collect(),
-            timers,
-            next_timer: self.next_timer,
-        }
-    }
-
-    /// Restore a state produced by [`EventGraph::save_state`] on a graph
-    /// compiled from the same expression. Fails with
-    /// [`SnoopError::SnapshotMismatch`] when the shapes disagree.
-    pub fn restore_state(&mut self, state: GraphState<T>) -> Result<()> {
-        if state.nodes.len() != self.nodes.len() {
-            return Err(SnoopError::SnapshotMismatch(format!(
-                "graph has {} nodes, snapshot has {}",
-                self.nodes.len(),
-                state.nodes.len()
-            )));
-        }
-        for (entry, ns) in self.nodes.iter_mut().zip(state.nodes) {
-            entry.op.restore_state(ns)?;
-        }
-        self.timers.clear();
-        for (id, node, tag) in state.timers {
-            if node as usize >= self.nodes.len() {
-                return Err(SnoopError::SnapshotMismatch(format!(
-                    "timer {id} targets node {node}, graph has {} nodes",
-                    self.nodes.len()
-                )));
-            }
-            if id >= state.next_timer {
-                return Err(SnoopError::SnapshotMismatch(format!(
-                    "timer id {id} not below next_timer {}",
-                    state.next_timer
-                )));
-            }
-            self.timers.insert(TimerId(id), (NodeId(node), tag));
-        }
-        self.next_timer = state.next_timer;
-        Ok(())
     }
 
     fn enqueue_subscribers(

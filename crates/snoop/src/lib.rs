@@ -24,10 +24,7 @@
 //! `ANY(m; E1,…,En)`, each under the Sentinel parameter contexts
 //! (Unrestricted, Recent, Chronicle, Continuous, Cumulative).
 
-// `deny`, not `forbid`: the one sanctioned exception is the SPSC ring in
-// `spsc` (a Lamport queue needs an `UnsafeCell` slot array), which opts in
-// locally with documented invariants. Everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
@@ -39,23 +36,19 @@ pub mod expr;
 pub mod graph;
 pub mod nodes;
 pub mod plan;
-#[cfg(feature = "parallel")]
-mod pool;
-pub mod shard;
-#[cfg(feature = "parallel")]
-mod spsc;
+pub mod reference;
 pub mod state;
 pub mod time;
 
 pub use batch::{EventBatch, ParamArena, ParamHandle};
 pub use context::Context;
-pub use detector::{CentralDetector, Detector};
+pub use detector::CentralDetector;
 pub use error::{Result, SnoopError};
 pub use event::{Catalog, EventId, Occurrence, ParamList, ParamTuple, Value};
 pub use expr::EventExpr;
 pub use graph::{EventGraph, FeedResult, NodeId, TimerId, TimerRequest};
 pub use nodes::mask::Mask;
-pub use plan::{AnyDetector, PlanDetector, PlanStats};
-pub use shard::{ShardFeedResult, ShardId, ShardedDetector};
-pub use state::{DefTimers, DetectorState, GraphState, NodeState, PlanState, Snapshot};
+pub use plan::{PlanDetector, PlanStats, ShardFeedResult, ShardId};
+pub use reference::ReferenceDetector;
+pub use state::{DefTimers, NodeState, PlanState};
 pub use time::{CentralTime, EventTime};

@@ -1,6 +1,6 @@
 //! Shared, hash-consed plan IR with cross-definition operator sharing.
 //!
-//! [`crate::ShardedDetector`] compiles every definition into its own
+//! [`crate::ReferenceDetector`] compiles every definition into its own
 //! [`crate::graph::EventGraph`], so `Seq(A, B)` appearing under ten
 //! definitions is compiled — and fed — ten times. [`PlanDetector`]
 //! compiles all definitions into **one** plan of unique operator nodes:
@@ -12,7 +12,7 @@
 //!
 //! # Bit-for-bit equivalence
 //!
-//! The plan reproduces the sharded detector's output exactly — same
+//! The plan reproduces the reference interpreter's output exactly — same
 //! detections, same order, same timer tags — which `tests/prop_plan.rs`
 //! pins property-style. Three mechanisms make this work:
 //!
@@ -51,10 +51,39 @@ use crate::expr::EventExpr;
 use crate::graph::{FeedResult, TimerId, TimerRequest};
 use crate::nodes::mask::Mask;
 use crate::nodes::{self, OperatorNode, Sink};
-use crate::shard::{sort_canonical, ShardFeedResult, ShardId, ShardedDetector};
+use crate::state::{DefTimers, PlanState};
 use crate::time::EventTime;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
+
+/// Index of a definition (timer handles and routes are keyed by it).
+pub type ShardId = usize;
+
+/// Everything one feed/fire step produced.
+#[derive(Debug, Clone)]
+pub struct ShardFeedResult<T> {
+    /// Occurrences of named composite events, in canonical merge order.
+    pub detected: Vec<Occurrence<T>>,
+    /// New timer requests, tagged with the definition that owns the timer
+    /// id (timer ids are only unique within a definition).
+    pub timers: Vec<(ShardId, TimerRequest)>,
+}
+
+impl<T> Default for ShardFeedResult<T> {
+    fn default() -> Self {
+        ShardFeedResult {
+            detected: Vec::new(),
+            timers: Vec::new(),
+        }
+    }
+}
+
+/// Canonical `(composite-timestamp, definition-id)` order for merging one
+/// trigger's round of detections. Stable, so equal keys keep definition
+/// order.
+pub(crate) fn sort_canonical<T: EventTime>(round: &mut [Occurrence<T>]) {
+    round.sort_by(|a, b| a.time.canonical_cmp(&b.time).then(a.ty.0.cmp(&b.ty.0)));
+}
 
 /// What a plan node's operand subscribes to: a leaf event type or another
 /// plan node.
@@ -150,20 +179,6 @@ pub(crate) struct DefView {
     pub(crate) next_timer: u64,
 }
 
-/// Mutable access to plan nodes by id — implemented by the detector's
-/// dense `Vec` and (under `parallel`) by the sparse per-worker cell, so
-/// the feed path is written once.
-pub(crate) trait NodeStore<T: EventTime> {
-    /// The node with id `id`.
-    fn node_mut(&mut self, id: usize) -> &mut PlanNode<T>;
-}
-
-impl<T: EventTime> NodeStore<T> for Vec<PlanNode<T>> {
-    fn node_mut(&mut self, id: usize) -> &mut PlanNode<T> {
-        &mut self[id]
-    }
-}
-
 /// Where a compiled subexpression delivers its occurrences from.
 #[derive(Clone, Copy)]
 enum Src {
@@ -183,12 +198,12 @@ fn key_of(def: &DefView, s: Src) -> ChildKey {
 /// Deliver `occ` to `pos`'s plan node on operand `slot` and return the
 /// emissions (typed for this position) plus any timer requests.
 fn deliver<T: EventTime>(
-    store: &mut impl NodeStore<T>,
+    nodes: &mut [PlanNode<T>],
     pos: &mut Position,
     slot: usize,
     occ: &Occurrence<T>,
 ) -> (Vec<Occurrence<T>>, Vec<(u64, u64)>) {
-    let node = store.node_mut(pos.node);
+    let node = &mut nodes[pos.node];
     let mut emissions = Vec::new();
     let mut timer_reqs = Vec::new();
     if node.stateless {
@@ -287,7 +302,7 @@ fn postprocess_def<T: EventTime>(
 /// callers on the hot path can reuse one allocation across triggers; it
 /// is empty again on return.
 fn drain_def<T: EventTime>(
-    store: &mut impl NodeStore<T>,
+    nodes: &mut [PlanNode<T>],
     def: &mut DefView,
     queue: &mut VecDeque<(u32, usize, Occurrence<T>)>,
     result: &mut FeedResult<T>,
@@ -295,15 +310,15 @@ fn drain_def<T: EventTime>(
     while let Some((p, slot, occ)) = queue.pop_front() {
         let (emissions, timer_reqs) = {
             let pos = &mut def.positions[p as usize];
-            deliver(store, pos, slot, &occ)
+            deliver(nodes, pos, slot, &occ)
         };
         postprocess_def(def, p, emissions, timer_reqs, queue, result);
     }
 }
 
 /// Feed one occurrence through one definition's view of the plan.
-pub(crate) fn feed_def_into<T: EventTime>(
-    store: &mut impl NodeStore<T>,
+fn feed_def_into<T: EventTime>(
+    nodes: &mut [PlanNode<T>],
     def: &mut DefView,
     occ: &Occurrence<T>,
     queue: &mut VecDeque<(u32, usize, Occurrence<T>)>,
@@ -319,15 +334,15 @@ pub(crate) fn feed_def_into<T: EventTime>(
     for &(p, slot) in subs {
         queue.push_back((p, slot, occ.clone()));
     }
-    drain_def(store, def, queue, &mut result);
+    drain_def(nodes, def, queue, &mut result);
     result
 }
 
 /// Like [`feed_def_into`] but takes the trigger by move: the last
 /// subscribing position receives the original, the rest clones — the
 /// common single-subscriber route never clones at all.
-pub(crate) fn feed_def_into_owned<T: EventTime>(
-    store: &mut impl NodeStore<T>,
+fn feed_def_into_owned<T: EventTime>(
+    nodes: &mut [PlanNode<T>],
     def: &mut DefView,
     occ: Occurrence<T>,
     queue: &mut VecDeque<(u32, usize, Occurrence<T>)>,
@@ -345,7 +360,7 @@ pub(crate) fn feed_def_into_owned<T: EventTime>(
         queue.push_back((p, slot, occ.clone()));
     }
     queue.push_back((last, lslot, occ));
-    drain_def(store, def, queue, &mut result);
+    drain_def(nodes, def, queue, &mut result);
     result
 }
 
@@ -391,9 +406,8 @@ impl<T> Default for Scratch<T> {
 /// A catalog plus **one shared plan** across all composite definitions,
 /// with per-definition views routing occurrences through it.
 ///
-/// Drop-in replacement for [`ShardedDetector`] — same surface (`define`,
-/// `feed`, `feed_batch`, `fire_timer(shard, …)`, watermark GC, the
-/// `parallel` pool) and bit-for-bit identical output — but structurally
+/// Bit-for-bit identical output to [`crate::ReferenceDetector`] — same
+/// detections in the same order, same timer tags — but structurally
 /// identical subexpressions across definitions execute once instead of
 /// once per definition.
 #[derive(Debug, Default)]
@@ -410,14 +424,9 @@ pub struct PlanDetector<T: EventTime> {
     scratch: Scratch<T>,
     /// Topological level of each definition in the dependency DAG.
     levels: Vec<usize>,
-    /// Union-find over definitions: defs sharing any plan node land in
-    /// one component (the parallel scheduler's placement unit).
-    uf: Vec<usize>,
     /// Cascade severing (see [`Self::set_cascade`]): when true, named
     /// detections are reported but never re-enter the wave as triggers.
     severed: bool,
-    #[cfg(feature = "parallel")]
-    pool: Option<crate::pool::WorkerPool<T>>,
 }
 
 impl<T: EventTime> PlanDetector<T> {
@@ -431,10 +440,7 @@ impl<T: EventTime> PlanDetector<T> {
             routes: Vec::new(),
             scratch: Scratch::default(),
             levels: Vec::new(),
-            uf: Vec::new(),
             severed: false,
-            #[cfg(feature = "parallel")]
-            pool: None,
         }
     }
 
@@ -467,7 +473,6 @@ impl<T: EventTime> PlanDetector<T> {
             self.catalog.lookup(leaf)?;
         }
         let d = self.defs.len();
-        self.uf.push(d);
         let mut def = DefView {
             emits,
             subscribed: BTreeSet::new(),
@@ -487,7 +492,7 @@ impl<T: EventTime> PlanDetector<T> {
                 // oracle gives the alias node the registered name directly
                 // (no synthetic intern), so bind specially here.
                 let key = ConsKey::Alias(ChildKey::Event(e));
-                let n = self.cons_node(d, key, &[(ChildKey::Event(e), 0)], "alias", true, || {
+                let n = self.cons_node(key, &[(ChildKey::Event(e), 0)], "alias", true, || {
                     Box::new(nodes::or::OrNode::new())
                 });
                 let p = def.positions.len() as u32;
@@ -533,7 +538,6 @@ impl<T: EventTime> PlanDetector<T> {
     /// accumulated operator state the oracle's fresh graph would lack.
     fn cons_node(
         &mut self,
-        d: usize,
         key: ConsKey,
         children: &[(ChildKey, usize)],
         label: &'static str,
@@ -542,9 +546,6 @@ impl<T: EventTime> PlanDetector<T> {
     ) -> usize {
         if let Some(&n) = self.cons.get(&key) {
             if stateless || self.nodes[n].exec == 0 {
-                if let Some(&(owner, _)) = self.nodes[n].bound.first() {
-                    self.union(owner as usize, d);
-                }
                 return n;
             }
         }
@@ -621,7 +622,6 @@ impl<T: EventTime> PlanDetector<T> {
                 let sb = self.build(d, def, b, ctx);
                 let (ka, kb) = (key_of(def, sa), key_of(def, sb));
                 let n = self.cons_node(
-                    d,
                     ConsKey::And(ctx, ka, kb),
                     &[(ka, 0), (kb, 1)],
                     "and",
@@ -634,14 +634,10 @@ impl<T: EventTime> PlanDetector<T> {
                 let sa = self.build(d, def, a, ctx);
                 let sb = self.build(d, def, b, ctx);
                 let (ka, kb) = (key_of(def, sa), key_of(def, sb));
-                let n = self.cons_node(
-                    d,
-                    ConsKey::Or(ka, kb),
-                    &[(ka, 0), (kb, 1)],
-                    "or",
-                    true,
-                    || Box::new(nodes::or::OrNode::new()),
-                );
+                let n =
+                    self.cons_node(ConsKey::Or(ka, kb), &[(ka, 0), (kb, 1)], "or", true, || {
+                        Box::new(nodes::or::OrNode::new())
+                    });
                 self.bind(d, def, n, &[(sa, 0), (sb, 1)])
             }
             EventExpr::Seq(a, b) => {
@@ -649,7 +645,6 @@ impl<T: EventTime> PlanDetector<T> {
                 let sb = self.build(d, def, b, ctx);
                 let (ka, kb) = (key_of(def, sa), key_of(def, sb));
                 let n = self.cons_node(
-                    d,
                     ConsKey::Seq(ctx, ka, kb),
                     &[(ka, 0), (kb, 1)],
                     "seq",
@@ -668,7 +663,6 @@ impl<T: EventTime> PlanDetector<T> {
                 let sc = self.build(d, def, closer, ctx);
                 let (ko, kg, kc) = (key_of(def, so), key_of(def, sg), key_of(def, sc));
                 let n = self.cons_node(
-                    d,
                     ConsKey::Not(ctx, ko, kg, kc),
                     &[
                         (ko, nodes::not::SLOT_OPENER),
@@ -700,7 +694,6 @@ impl<T: EventTime> PlanDetector<T> {
                 let sc = self.build(d, def, closer, ctx);
                 let (ko, km, kc) = (key_of(def, so), key_of(def, sm), key_of(def, sc));
                 let n = self.cons_node(
-                    d,
                     ConsKey::Aperiodic(ctx, ko, km, kc),
                     &[
                         (ko, nodes::aperiodic::SLOT_OPENER),
@@ -732,7 +725,6 @@ impl<T: EventTime> PlanDetector<T> {
                 let sc = self.build(d, def, closer, ctx);
                 let (ko, km, kc) = (key_of(def, so), key_of(def, sm), key_of(def, sc));
                 let n = self.cons_node(
-                    d,
                     ConsKey::AperiodicStar(ctx, ko, km, kc),
                     &[
                         (ko, nodes::aperiodic::SLOT_OPENER),
@@ -820,7 +812,6 @@ impl<T: EventTime> PlanDetector<T> {
                 let sb = self.build(d, def, base, ctx);
                 let kb = key_of(def, sb);
                 let n = self.cons_node(
-                    d,
                     ConsKey::Mask(mask.clone(), kb),
                     &[(kb, 0)],
                     "mask",
@@ -841,14 +832,10 @@ impl<T: EventTime> PlanDetector<T> {
                     .enumerate()
                     .map(|(i, k)| (k, i))
                     .collect();
-                let n = self.cons_node(
-                    d,
-                    ConsKey::Any(ctx, *m, keys),
-                    &children,
-                    "any",
-                    false,
-                    || Box::new(nodes::any::AnyNode::new(ctx, *m, alternatives.len())),
-                );
+                let n =
+                    self.cons_node(ConsKey::Any(ctx, *m, keys), &children, "any", false, || {
+                        Box::new(nodes::any::AnyNode::new(ctx, *m, alternatives.len()))
+                    });
                 let wired: Vec<(Src, usize)> = sources
                     .iter()
                     .copied()
@@ -865,8 +852,8 @@ impl<T: EventTime> PlanDetector<T> {
         &self.catalog
     }
 
-    /// Number of definitions (the plan analogue of a shard count — timer
-    /// handles and routes are keyed by definition index).
+    /// Number of definitions (timer handles and routes are keyed by
+    /// definition index).
     pub fn shard_count(&self) -> usize {
         self.defs.len()
     }
@@ -884,12 +871,6 @@ impl<T: EventTime> PlanDetector<T> {
     /// Event types definition `d` subscribes to, ascending.
     pub fn shard_subscriptions(&self, d: ShardId) -> impl Iterator<Item = EventId> + '_ {
         self.defs[d].subscribed.iter().copied()
-    }
-
-    /// Whether some definition references another definition's named
-    /// event.
-    pub fn has_cross_shard_routes(&self) -> bool {
-        self.defs.iter().any(|dv| !self.route(dv.emits).is_empty())
     }
 
     /// The definitions subscribed to `ty`, ascending (empty = unrouted).
@@ -957,28 +938,6 @@ impl<T: EventTime> PlanDetector<T> {
         }
     }
 
-    /// Number of connected components in the sharing graph over
-    /// definitions (defs that share no node parallelize independently).
-    pub fn component_count(&self) -> usize {
-        (0..self.uf.len()).filter(|&i| self.find(i) == i).count()
-    }
-
-    fn find(&self, mut i: usize) -> usize {
-        while self.uf[i] != i {
-            i = self.uf[i];
-        }
-        i
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra == rb {
-            return;
-        }
-        let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-        self.uf[hi] = lo;
-    }
-
     /// Feed one occurrence, cascading named detections (canonical order)
     /// into the definitions that reference them.
     pub fn feed(&mut self, occ: Occurrence<T>) -> ShardFeedResult<T> {
@@ -1039,21 +998,8 @@ impl<T: EventTime> PlanDetector<T> {
     }
 
     /// Feed a whole batch; semantically identical to feeding each
-    /// occurrence in order. With the `parallel` feature and a pool
-    /// enabled, sharing components fan out across the persistent workers
-    /// and the per-trigger canonical merge reproduces the serial output
-    /// exactly.
+    /// occurrence in order.
     pub fn feed_batch(&mut self, occs: Vec<Occurrence<T>>) -> ShardFeedResult<T> {
-        #[cfg(feature = "parallel")]
-        if self.pool.is_some() && self.defs.len() > 1 && !occs.is_empty() {
-            let out = if self.has_cross_shard_routes() {
-                self.feed_batch_staged(occs)
-            } else {
-                self.feed_batch_fanout(occs)
-            };
-            self.trim_logs();
-            return out;
-        }
         let mut out = ShardFeedResult::default();
         for occ in occs {
             self.pump_one(occ, &mut out);
@@ -1140,23 +1086,6 @@ impl<T: EventTime> PlanDetector<T> {
         }
     }
 
-    /// One cascade wave over an owned vector (the staged pooled path's
-    /// single-active-definition case).
-    #[cfg(feature = "parallel")]
-    fn serial_wave(
-        &mut self,
-        wave: Vec<Occurrence<T>>,
-        out: &mut ShardFeedResult<T>,
-    ) -> Vec<Occurrence<T>> {
-        let mut s = std::mem::take(&mut self.scratch);
-        debug_assert!(s.wave.is_empty());
-        s.wave = wave;
-        self.wave_step(&mut s, out);
-        let next = std::mem::take(&mut s.next);
-        self.scratch = s;
-        next
-    }
-
     /// Drop fully-replayed log entries. At the end of every public call
     /// all cursors of a shared node have consumed every execution (each
     /// delivery reaches all binder definitions in the same routing round),
@@ -1182,65 +1111,6 @@ impl<T: EventTime> PlanDetector<T> {
             node.log.drain(..drop);
             node.base = min_seen;
         }
-    }
-
-    /// Attach a persistent worker pool of `workers` threads (clamped to
-    /// `1..=shard_count` and to the machine's available parallelism —
-    /// oversubscribing cores only adds hand-off latency) and route every
-    /// subsequent [`Self::feed_batch`] through it. Sharing components are
-    /// moved whole to a worker, so a shared node always travels with
-    /// every definition bound to it.
-    #[cfg(feature = "parallel")]
-    pub fn enable_pool(&mut self, workers: usize) {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.enable_pool_exact(workers.min(hw));
-    }
-
-    /// Like [`Self::enable_pool`] but without the hardware cap (still
-    /// clamped to `1..=shard_count`). Tests and determinism oracles use
-    /// this to exercise multi-worker hand-off on machines with fewer
-    /// cores than workers.
-    #[cfg(feature = "parallel")]
-    pub fn enable_pool_exact(&mut self, workers: usize) {
-        let workers = workers.clamp(1, self.defs.len().max(1));
-        self.pool = Some(crate::pool::WorkerPool::new(workers));
-    }
-
-    /// Worker threads in the persistent pool (0 = serial).
-    pub fn worker_count(&self) -> usize {
-        #[cfg(feature = "parallel")]
-        if let Some(p) = &self.pool {
-            return p.worker_count();
-        }
-        0
-    }
-
-    /// Parallel rounds dispatched to the pool so far.
-    pub fn parallel_rounds(&self) -> u64 {
-        #[cfg(feature = "parallel")]
-        if let Some(p) = &self.pool {
-            return p.rounds();
-        }
-        0
-    }
-
-    /// Total busy time across pool workers, in nanoseconds.
-    pub fn pool_busy_ns(&self) -> u64 {
-        #[cfg(feature = "parallel")]
-        if let Some(p) = &self.pool {
-            return p.busy_ns();
-        }
-        0
-    }
-
-    /// Backoff steps spent waiting on full or empty pool rings so far
-    /// (0 = serial or never contended).
-    pub fn ring_full_spins(&self) -> u64 {
-        #[cfg(feature = "parallel")]
-        if let Some(p) = &self.pool {
-            return p.ring_full_spins();
-        }
-        0
     }
 
     /// Render the **shared plan once** in Graphviz `dot` syntax: event
@@ -1308,8 +1178,13 @@ impl<T: EventTime> PlanDetector<T> {
     }
 }
 
-impl<T: EventTime> crate::state::Snapshot<T> for PlanDetector<T> {
-    fn save_state(&self) -> crate::state::DetectorState<T> {
+/// Save/restore of the buffered operator state (see [`crate::state`]).
+impl<T: EventTime> PlanDetector<T> {
+    /// Serialize the buffered state of every plan node plus the
+    /// per-definition timer tables. A detector compiled from the same
+    /// definitions can [`Self::restore_state`] it; a state saved right
+    /// after compilation doubles as a "pristine" image to reset to.
+    pub fn save_state(&self) -> PlanState<T> {
         // Public calls end quiescent (`trim_logs`): every shared log is
         // empty and every cursor's `seen` equals its node's `exec` — so
         // only the operator state, the exec counters and the
@@ -1320,7 +1195,7 @@ impl<T: EventTime> crate::state::Snapshot<T> for PlanDetector<T> {
             self.nodes.iter().all(|n| n.log.is_empty()),
             "snapshot of a non-quiescent plan"
         );
-        crate::state::DetectorState::Plan(crate::state::PlanState {
+        PlanState {
             nodes: self.nodes.iter().map(|n| n.op.save_state()).collect(),
             execs: self.nodes.iter().map(|n| n.exec).collect(),
             defs: self
@@ -1333,21 +1208,19 @@ impl<T: EventTime> crate::state::Snapshot<T> for PlanDetector<T> {
                         .map(|(id, &(p, tag))| (id.0, p, tag))
                         .collect();
                     timers.sort_unstable();
-                    crate::state::DefTimers {
+                    DefTimers {
                         timers,
                         next_timer: def.next_timer,
                     }
                 })
                 .collect(),
-        })
+        }
     }
 
-    fn restore_state(&mut self, state: crate::state::DetectorState<T>) -> Result<()> {
-        let crate::state::DetectorState::Plan(plan) = state else {
-            return Err(SnoopError::SnapshotMismatch(
-                "sharded snapshot offered to a plan detector".into(),
-            ));
-        };
+    /// Restore a state produced by [`Self::save_state`] on a detector
+    /// compiled from the same definitions. Fails with
+    /// [`SnoopError::SnapshotMismatch`] when the shapes disagree.
+    pub fn restore_state(&mut self, plan: PlanState<T>) -> Result<()> {
         if plan.nodes.len() != self.nodes.len() || plan.execs.len() != self.nodes.len() {
             return Err(SnoopError::SnapshotMismatch(format!(
                 "plan has {} nodes, snapshot has {} (execs {})",
@@ -1402,491 +1275,53 @@ impl<T: EventTime> crate::state::Snapshot<T> for PlanDetector<T> {
     }
 }
 
-/// Sparse id → node map moved to a pool worker: the subset of plan nodes
-/// one sharing component's definitions can touch.
-#[cfg(feature = "parallel")]
-#[derive(Debug)]
-pub(crate) struct SparseNodes<T: EventTime> {
-    /// `(global node id, node)` in ascending id order.
-    nodes: Vec<(usize, PlanNode<T>)>,
-    /// Global node id → index into `nodes`.
-    index: HashMap<usize, usize>,
-}
-
-#[cfg(feature = "parallel")]
-impl<T: EventTime> NodeStore<T> for SparseNodes<T> {
-    fn node_mut(&mut self, id: usize) -> &mut PlanNode<T> {
-        let i = self.index[&id];
-        &mut self.nodes[i].1
-    }
-}
-
-/// One sharing component out on a pool worker: its definitions (ascending
-/// by id) plus every plan node their positions reference. Moving the
-/// component whole keeps the execute-once/replay protocol worker-local —
-/// a shared node always travels with every definition bound to it (a
-/// delivery to a shared node implies all its binder definitions subscribe
-/// to the trigger, so they are all active in the same round).
-#[cfg(feature = "parallel")]
-#[derive(Debug)]
-pub(crate) struct PlanCell<T: EventTime> {
-    defs: Vec<(usize, DefView)>,
-    store: SparseNodes<T>,
-}
-
-#[cfg(feature = "parallel")]
-impl<T: EventTime> PlanCell<T> {
-    /// Feed every trigger through this cell's definitions —
-    /// trigger-outer, definitions ascending inner, exactly the serial
-    /// visit order — and return per-definition results keyed by trigger
-    /// index.
-    pub(crate) fn run(&mut self, triggers: &[Occurrence<T>]) -> crate::pool::KeyedResults<T> {
-        let PlanCell { defs, store } = self;
-        let mut out: crate::pool::KeyedResults<T> =
-            defs.iter().map(|(d, _)| (*d, Vec::new())).collect();
-        let mut queue = VecDeque::new();
-        for (k, occ) in triggers.iter().enumerate() {
-            for (i, (_, def)) in defs.iter_mut().enumerate() {
-                if def.subs.contains_key(&occ.ty) {
-                    let r = feed_def_into(store, def, occ, &mut queue);
-                    out[i].1.push((k, r));
-                }
-            }
-        }
-        out
-    }
-}
-
-#[cfg(feature = "parallel")]
-impl DefView {
-    /// Inert stand-in left behind while the real view is out on a pool
-    /// worker (no subscriptions, so it can never be fed by mistake).
-    fn placeholder() -> Self {
-        DefView {
-            emits: EventId(u32::MAX),
-            subscribed: BTreeSet::new(),
-            positions: Vec::new(),
-            subs: HashMap::new(),
-            timers: HashMap::new(),
-            next_timer: 0,
-        }
-    }
-}
-
-#[cfg(feature = "parallel")]
-impl<T: EventTime> PlanNode<T> {
-    /// Inert stand-in left behind while the real node is out on a worker.
-    fn placeholder() -> Self {
-        PlanNode {
-            op: Box::new(nodes::or::OrNode::new()),
-            bound: Vec::new(),
-            children: Vec::new(),
-            label: "placeholder",
-            stateless: true,
-            exec: 0,
-            base: 0,
-            log: Vec::new(),
-        }
-    }
-}
-
-#[cfg(feature = "parallel")]
-impl<T: EventTime> PlanDetector<T> {
-    /// Number of definitions subscribed to at least one of `wave`'s types.
-    fn active_def_count(&self, wave: &[Occurrence<T>]) -> usize {
-        self.defs
-            .iter()
-            .filter(|dv| wave.iter().any(|o| dv.subscribed.contains(&o.ty)))
-            .count()
-    }
-
-    /// Dispatch one pool round over `triggers`: group the active
-    /// definitions by sharing component, move each component (definitions
-    /// plus their plan nodes) whole to a worker, collect results,
-    /// reinstall, and return the keyed feed results sorted by definition id.
-    fn pooled_round(
-        &mut self,
-        triggers: &std::sync::Arc<[Occurrence<T>]>,
-    ) -> crate::pool::KeyedResults<T> {
-        use std::collections::BTreeMap;
-        let workers = self.pool.as_ref().expect("pool enabled").worker_count();
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for d in 0..self.defs.len() {
-            let active = triggers
-                .iter()
-                .any(|o| self.defs[d].subscribed.contains(&o.ty));
-            if active {
-                groups.entry(self.find(d)).or_default().push(d);
-            }
-        }
-        let mut per_worker: Vec<Vec<PlanCell<T>>> = (0..workers).map(|_| Vec::new()).collect();
-        for (gi, (_, group)) in groups.into_iter().enumerate() {
-            let mut node_ids: BTreeSet<usize> = BTreeSet::new();
-            for &d in &group {
-                for p in &self.defs[d].positions {
-                    node_ids.insert(p.node);
-                }
-            }
-            let mut defs = Vec::with_capacity(group.len());
-            for d in group {
-                defs.push((
-                    d,
-                    std::mem::replace(&mut self.defs[d], DefView::placeholder()),
-                ));
-            }
-            let mut cell_nodes = Vec::with_capacity(node_ids.len());
-            let mut index = HashMap::with_capacity(node_ids.len());
-            for id in node_ids {
-                index.insert(id, cell_nodes.len());
-                cell_nodes.push((
-                    id,
-                    std::mem::replace(&mut self.nodes[id], PlanNode::placeholder()),
-                ));
-            }
-            per_worker[gi % workers].push(PlanCell {
-                defs,
-                store: SparseNodes {
-                    nodes: cell_nodes,
-                    index,
-                },
-            });
-        }
-        let jobs: Vec<(usize, crate::pool::Job<T>)> = per_worker
-            .into_iter()
-            .enumerate()
-            .filter(|(_, cells)| !cells.is_empty())
-            .map(|(w, cells)| {
-                (
-                    w,
-                    crate::pool::Job {
-                        shards: Vec::new(),
-                        cells,
-                        triggers: std::sync::Arc::clone(triggers),
-                    },
-                )
-            })
-            .collect();
-        let mut merged = Vec::new();
-        for r in self.pool.as_mut().expect("pool enabled").run_round(jobs) {
-            for cell in r.cells {
-                for (d, dv) in cell.defs {
-                    self.defs[d] = dv;
-                }
-                for (id, node) in cell.store.nodes {
-                    self.nodes[id] = node;
-                }
-            }
-            merged.extend(r.results);
-        }
-        merged.sort_by_key(|(sid, _)| *sid);
-        merged
-    }
-
-    /// Independent definitions (no cross-definition routes): one pool
-    /// round fans the whole batch out, then the per-trigger cursor merge
-    /// — definitions ascending, canonical round sort — reproduces the
-    /// serial visit order exactly.
-    fn feed_batch_fanout(&mut self, occs: Vec<Occurrence<T>>) -> ShardFeedResult<T> {
-        let triggers: std::sync::Arc<[Occurrence<T>]> = occs.into();
-        let per_def = self.pooled_round(&triggers);
-        let mut out = ShardFeedResult::default();
-        let mut cursors = vec![0usize; per_def.len()];
-        for k in 0..triggers.len() {
-            let mut round = Vec::new();
-            for (idx, (sid, results)) in per_def.iter().enumerate() {
-                if let Some((key, r)) = results.get(cursors[idx]) {
-                    if *key == k {
-                        cursors[idx] += 1;
-                        out.timers.extend(r.timers.iter().map(|t| (*sid, *t)));
-                        round.extend(r.detected.iter().cloned());
-                    }
-                }
-            }
-            sort_canonical(&mut round);
-            out.detected.extend(round);
-        }
-        out
-    }
-
-    /// Cross-definition cascades: per trigger, one pool round per cascade
-    /// wave (at most [`Self::stage_count`] deep), each wave's canonically
-    /// merged detections becoming the next wave's triggers.
-    fn feed_batch_staged(&mut self, occs: Vec<Occurrence<T>>) -> ShardFeedResult<T> {
-        let mut out = ShardFeedResult::default();
-        for occ in occs {
-            let mut wave = vec![occ];
-            while !wave.is_empty() {
-                let active = self.active_def_count(&wave);
-                if active == 0 {
-                    break;
-                }
-                if active == 1 {
-                    // Nothing to parallelize: run the wave in place.
-                    wave = self.serial_wave(wave, &mut out);
-                    continue;
-                }
-                let triggers: std::sync::Arc<[Occurrence<T>]> = wave.into();
-                let per_def = self.pooled_round(&triggers);
-                let mut next_wave = Vec::new();
-                let mut cursors = vec![0usize; per_def.len()];
-                for k in 0..triggers.len() {
-                    let mut round = Vec::new();
-                    for (idx, (sid, results)) in per_def.iter().enumerate() {
-                        if let Some((key, r)) = results.get(cursors[idx]) {
-                            if *key == k {
-                                cursors[idx] += 1;
-                                out.timers.extend(r.timers.iter().map(|t| (*sid, *t)));
-                                round.extend(r.detected.iter().cloned());
-                            }
-                        }
-                    }
-                    sort_canonical(&mut round);
-                    for d in round {
-                        if !self.severed {
-                            next_wave.push(d.clone());
-                        }
-                        out.detected.push(d);
-                    }
-                }
-                wave = next_wave;
-            }
-        }
-        out
-    }
-}
-
-/// Either detection backend behind one surface, so drivers (the central
-/// detector, the distributed coordinator) can toggle plan sharing with a
-/// config flag while keeping the unshared path as a differential oracle.
-#[derive(Debug)]
-pub enum AnyDetector<T: EventTime> {
-    /// One independent graph per definition (no sharing).
-    Sharded(ShardedDetector<T>),
-    /// The shared, hash-consed plan.
-    Plan(PlanDetector<T>),
-}
-
-impl<T: EventTime> From<ShardedDetector<T>> for AnyDetector<T> {
-    fn from(d: ShardedDetector<T>) -> Self {
-        AnyDetector::Sharded(d)
-    }
-}
-
-impl<T: EventTime> From<PlanDetector<T>> for AnyDetector<T> {
-    fn from(d: PlanDetector<T>) -> Self {
-        AnyDetector::Plan(d)
-    }
-}
-
-macro_rules! delegate {
-    ($self:ident, $d:ident => $e:expr) => {
-        match $self {
-            AnyDetector::Sharded($d) => $e,
-            AnyDetector::Plan($d) => $e,
-        }
-    };
-}
-
-impl<T: EventTime> AnyDetector<T> {
-    /// Register a primitive event type.
-    pub fn register(&mut self, name: &str) -> Result<EventId> {
-        delegate!(self, d => d.register(name))
-    }
-
-    /// Define a named composite event.
-    pub fn define(&mut self, name: &str, expr: &EventExpr, ctx: Context) -> Result<EventId> {
-        delegate!(self, d => d.define(name, expr, ctx))
-    }
-
-    /// The catalog (name ↔ id mapping).
-    pub fn catalog(&self) -> &Catalog {
-        delegate!(self, d => d.catalog())
-    }
-
-    /// Number of definition shards.
-    pub fn shard_count(&self) -> usize {
-        delegate!(self, d => d.shard_count())
-    }
-
-    /// Number of topological stages in the definition dependency DAG.
-    pub fn stage_count(&self) -> usize {
-        delegate!(self, d => d.stage_count())
-    }
-
-    /// Topological level of definition `d` in the dependency DAG.
-    pub fn shard_level(&self, d: ShardId) -> usize {
-        delegate!(self, det => det.shard_level(d))
-    }
-
-    /// Event types definition `d` subscribes to, ascending.
-    pub fn shard_subscriptions(&self, d: ShardId) -> Vec<EventId> {
-        delegate!(self, det => det.shard_subscriptions(d).collect())
-    }
-
-    /// Enable or sever the detection cascade (see the backends'
-    /// `set_cascade`). Default is enabled.
-    pub fn set_cascade(&mut self, enabled: bool) {
-        delegate!(self, d => d.set_cascade(enabled))
-    }
-
-    /// Smallest timer delay any definition can request.
-    pub fn min_timer_delay(&self) -> Option<u64> {
-        delegate!(self, d => d.min_timer_delay())
-    }
-
-    /// Total outstanding timers.
-    pub fn pending_timer_count(&self) -> usize {
-        delegate!(self, d => d.pending_timer_count())
-    }
-
-    /// Advance the low watermark (see the backends' docs; the plan runs
-    /// GC once per shared node).
-    pub fn advance_watermark(&mut self, low: u64) -> u64 {
-        delegate!(self, d => d.advance_watermark(low))
-    }
-
-    /// Total buffered occurrences (per unique node under the plan).
-    pub fn buffered_occupancy(&self) -> usize {
-        delegate!(self, d => d.buffered_occupancy())
-    }
-
-    /// Whether some definition references another definition's name.
-    pub fn has_cross_shard_routes(&self) -> bool {
-        delegate!(self, d => d.has_cross_shard_routes())
-    }
-
-    /// Feed one occurrence.
-    pub fn feed(&mut self, occ: Occurrence<T>) -> ShardFeedResult<T> {
-        delegate!(self, d => d.feed(occ))
-    }
-
-    /// Feed a whole batch.
-    pub fn feed_batch(&mut self, occs: Vec<Occurrence<T>>) -> ShardFeedResult<T> {
-        delegate!(self, d => d.feed_batch(occs))
-    }
-
-    /// Feed a columnar batch (only routed rows are materialized).
-    pub fn feed_batch_columnar(&mut self, batch: &EventBatch<T>) -> ShardFeedResult<T> {
-        delegate!(self, d => d.feed_batch_columnar(batch))
-    }
-
-    /// Deliver a previously requested timer.
-    pub fn fire_timer(
-        &mut self,
-        shard: ShardId,
-        id: TimerId,
-        time: T,
-    ) -> Result<ShardFeedResult<T>> {
-        delegate!(self, d => d.fire_timer(shard, id, time))
-    }
-
-    /// Attach a persistent worker pool (see the backends' `enable_pool`).
-    #[cfg(feature = "parallel")]
-    pub fn enable_pool(&mut self, workers: usize) {
-        delegate!(self, d => d.enable_pool(workers))
-    }
-
-    /// Attach a pool without the hardware cap (see the backends'
-    /// `enable_pool_exact`).
-    #[cfg(feature = "parallel")]
-    pub fn enable_pool_exact(&mut self, workers: usize) {
-        delegate!(self, d => d.enable_pool_exact(workers))
-    }
-
-    /// Worker threads in the persistent pool (0 = serial).
-    pub fn worker_count(&self) -> usize {
-        delegate!(self, d => d.worker_count())
-    }
-
-    /// Parallel rounds dispatched to the pool so far.
-    pub fn parallel_rounds(&self) -> u64 {
-        delegate!(self, d => d.parallel_rounds())
-    }
-
-    /// Total busy time across pool workers, in nanoseconds.
-    pub fn pool_busy_ns(&self) -> u64 {
-        delegate!(self, d => d.pool_busy_ns())
-    }
-
-    /// Backoff steps spent waiting on full or empty pool rings so far.
-    pub fn ring_full_spins(&self) -> u64 {
-        delegate!(self, d => d.ring_full_spins())
-    }
-
-    /// Sharing counters. The sharded backend reports its total graph
-    /// nodes with zero sharing.
-    pub fn plan_stats(&self) -> PlanStats {
-        match self {
-            AnyDetector::Sharded(d) => {
-                let n = d.node_count();
-                PlanStats {
-                    plan_nodes: n,
-                    shared_nodes: 0,
-                    position_count: n,
-                    sharing_ratio: 0.0,
-                }
-            }
-            AnyDetector::Plan(d) => d.plan_stats(),
-        }
-    }
-}
-
-impl<T: EventTime> crate::state::Snapshot<T> for AnyDetector<T> {
-    fn save_state(&self) -> crate::state::DetectorState<T> {
-        delegate!(self, d => crate::state::Snapshot::save_state(d))
-    }
-
-    fn restore_state(&mut self, state: crate::state::DetectorState<T>) -> Result<()> {
-        // Each backend rejects the other's snapshot variant itself.
-        delegate!(self, d => crate::state::Snapshot::restore_state(d, state))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::EventExpr as E;
+    use crate::reference::ReferenceDetector;
     use crate::time::CentralTime;
 
     fn occ(cat: &Catalog, name: &str, t: u64) -> Occurrence<CentralTime> {
         Occurrence::bare(cat.lookup(name).unwrap(), CentralTime(t))
     }
 
-    /// Build both backends over the same definitions and assert that
-    /// feeding the trace produces bit-for-bit identical results
-    /// (detections with types/times/params, timers with ids and tags).
+    /// Build the plan and the reference interpreter over the same
+    /// definitions and assert that feeding the trace produces bit-for-bit
+    /// identical results (detections with types/times/params, timers with
+    /// ids and tags).
     fn assert_equivalent(
         prims: &[&str],
         defs: &[(&str, EventExpr, Context)],
         trace: &[(&str, u64)],
-    ) -> (ShardedDetector<CentralTime>, PlanDetector<CentralTime>) {
-        let mut sharded = ShardedDetector::new();
+    ) -> (ReferenceDetector<CentralTime>, PlanDetector<CentralTime>) {
+        let mut reference = ReferenceDetector::new();
         let mut plan = PlanDetector::new();
         for p in prims {
-            sharded.register(p).unwrap();
+            reference.register(p).unwrap();
             plan.register(p).unwrap();
         }
         for (name, expr, ctx) in defs {
-            let a = sharded.define(name, expr, *ctx).unwrap();
+            let a = reference.define(name, expr, *ctx).unwrap();
             let b = plan.define(name, expr, *ctx).unwrap();
             assert_eq!(a, b, "catalog identity for {name}");
         }
         assert_eq!(
-            sharded.catalog().len(),
+            reference.catalog().len(),
             plan.catalog().len(),
             "intern sequence"
         );
         for (name, t) in trace {
-            if sharded.catalog().lookup(name).is_err() {
+            if reference.catalog().lookup(name).is_err() {
                 continue; // trace is a superset of some tests' primitives
             }
-            let o = occ(sharded.catalog(), name, *t);
-            let rs = sharded.feed(o.clone());
+            let o = occ(reference.catalog(), name, *t);
+            let rs = reference.feed(o.clone());
             let rp = plan.feed(o);
             assert_eq!(rs.detected, rp.detected, "detections at {name}@{t}");
             assert_eq!(rs.timers, rp.timers, "timers at {name}@{t}");
         }
-        (sharded, plan)
+        (reference, plan)
     }
 
     fn base_trace() -> Vec<(&'static str, u64)> {
@@ -1927,7 +1362,6 @@ mod tests {
         assert_eq!(stats.plan_nodes, 3); // shared seq + and + outer seq
         assert_eq!(stats.shared_nodes, 1);
         assert!(stats.sharing_ratio > 0.0);
-        assert_eq!(plan.component_count(), 1);
     }
 
     #[test]
@@ -1942,7 +1376,6 @@ mod tests {
         ];
         let (_, plan) = assert_equivalent(&["A", "B", "C"], &defs, &base_trace());
         assert_eq!(plan.shared_node_count(), 0);
-        assert_eq!(plan.component_count(), 2);
     }
 
     #[test]
@@ -2047,22 +1480,22 @@ mod tests {
         )];
         // The full trace must stay equivalent (a fresh A *does* pair with
         // earlier distinct A occurrences in both backends)…
-        let (mut sharded, mut plan) = assert_equivalent(&["A"], &defs, &base_trace());
+        let (mut reference, mut plan) = assert_equivalent(&["A"], &defs, &base_trace());
         // …and the very first A fed to fresh detectors pairs with nothing:
         // the same occurrence reaches both slots and is blocked by uid.
-        let mut fresh_sharded = ShardedDetector::<CentralTime>::new();
+        let mut fresh_reference = ReferenceDetector::<CentralTime>::new();
         let mut fresh_plan = PlanDetector::<CentralTime>::new();
-        fresh_sharded.register("A").unwrap();
+        fresh_reference.register("A").unwrap();
         fresh_plan.register("A").unwrap();
         let (name, e, ctx) = &defs[0];
-        fresh_sharded.define(name, e, *ctx).unwrap();
+        fresh_reference.define(name, e, *ctx).unwrap();
         fresh_plan.define(name, e, *ctx).unwrap();
-        let o = occ(fresh_sharded.catalog(), "A", 99);
-        assert!(fresh_sharded.feed(o.clone()).detected.is_empty());
+        let o = occ(fresh_reference.catalog(), "A", 99);
+        assert!(fresh_reference.feed(o.clone()).detected.is_empty());
         assert!(fresh_plan.feed(o.clone()).detected.is_empty());
         // Keep the post-trace detectors honest too: next A matches oracle.
         assert_eq!(
-            sharded.feed(o.clone()).detected.len(),
+            reference.feed(o.clone()).detected.len(),
             plan.feed(o).detected.len()
         );
     }
@@ -2078,9 +1511,8 @@ mod tests {
                 Context::Chronicle,
             ),
         ];
-        let (sharded, plan) = assert_equivalent(&["A", "B", "C"], &defs, &base_trace());
-        assert!(plan.has_cross_shard_routes());
-        assert_eq!(plan.stage_count(), sharded.stage_count());
+        let (_, plan) = assert_equivalent(&["A", "B", "C"], &defs, &base_trace());
+        assert_eq!(plan.stage_count(), 2);
         assert_eq!(plan.shard_level(1), 1);
         // Seq(X, C) shared between Z (root) and W (inner).
         assert_eq!(plan.shared_node_count(), 1);
@@ -2088,26 +1520,26 @@ mod tests {
 
     #[test]
     fn late_define_does_not_inherit_executed_state() {
-        let mut sharded = ShardedDetector::<CentralTime>::new();
+        let mut reference = ReferenceDetector::<CentralTime>::new();
         let mut plan = PlanDetector::<CentralTime>::new();
         for p in ["A", "B"] {
-            sharded.register(p).unwrap();
+            reference.register(p).unwrap();
             plan.register(p).unwrap();
         }
         let e = E::seq(E::prim("A"), E::prim("B"));
-        sharded.define("X", &e, Context::Chronicle).unwrap();
+        reference.define("X", &e, Context::Chronicle).unwrap();
         plan.define("X", &e, Context::Chronicle).unwrap();
         // Execute: A is now buffered inside the Seq node.
-        let o = occ(sharded.catalog(), "A", 1);
-        sharded.feed(o.clone());
+        let o = occ(reference.catalog(), "A", 1);
+        reference.feed(o.clone());
         plan.feed(o);
         // A structurally identical later define must NOT see that state.
-        sharded.define("Y", &e, Context::Chronicle).unwrap();
+        reference.define("Y", &e, Context::Chronicle).unwrap();
         plan.define("Y", &e, Context::Chronicle).unwrap();
         assert_eq!(plan.shared_node_count(), 0, "executed node not reused");
         for (name, t) in [("B", 2), ("A", 3), ("B", 4)] {
-            let o = occ(sharded.catalog(), name, t);
-            let rs = sharded.feed(o.clone());
+            let o = occ(reference.catalog(), name, t);
+            let rs = reference.feed(o.clone());
             let rp = plan.feed(o);
             assert_eq!(rs.detected, rp.detected, "{name}@{t}");
         }
@@ -2179,30 +1611,30 @@ mod tests {
 
     #[test]
     fn timers_stay_private_and_match_oracle() {
-        let mut sharded = ShardedDetector::<CentralTime>::new();
+        let mut reference = ReferenceDetector::<CentralTime>::new();
         let mut plan = PlanDetector::<CentralTime>::new();
-        sharded.register("A").unwrap();
+        reference.register("A").unwrap();
         plan.register("A").unwrap();
         // Two identical Plus defs: temporal nodes must NOT share (each def
         // owns its timer ids), but their base subexpression may.
         let e = E::plus(E::seq(E::prim("A"), E::prim("A")), 10);
         for name in ["D1", "D2"] {
-            sharded.define(name, &e, Context::Chronicle).unwrap();
+            reference.define(name, &e, Context::Chronicle).unwrap();
             plan.define(name, &e, Context::Chronicle).unwrap();
         }
         assert_eq!(plan.shared_node_count(), 1); // the Seq only
         assert_eq!(plan.min_timer_delay(), Some(10));
-        let o1 = occ(sharded.catalog(), "A", 1);
-        let o2 = occ(sharded.catalog(), "A", 2);
-        sharded.feed(o1.clone());
+        let o1 = occ(reference.catalog(), "A", 1);
+        let o2 = occ(reference.catalog(), "A", 2);
+        reference.feed(o1.clone());
         plan.feed(o1);
-        let rs = sharded.feed(o2.clone());
+        let rs = reference.feed(o2.clone());
         let rp = plan.feed(o2);
         assert_eq!(rs.timers, rp.timers);
         assert_eq!(rs.timers.len(), 2); // one per def
-        assert_eq!(sharded.pending_timer_count(), plan.pending_timer_count());
+        assert_eq!(plan.pending_timer_count(), 2);
         for ((sd, sreq), (pd, preq)) in rs.timers.iter().zip(rp.timers.iter()) {
-            let fs = sharded.fire_timer(*sd, sreq.id, CentralTime(12)).unwrap();
+            let fs = reference.fire_timer(*sd, sreq.id, CentralTime(12)).unwrap();
             let fp = plan.fire_timer(*pd, preq.id, CentralTime(12)).unwrap();
             assert_eq!(fs.detected, fp.detected);
         }
@@ -2213,14 +1645,12 @@ mod tests {
     }
 
     /// Mid-trace save/restore into a freshly compiled detector resumes
-    /// bit-identically — detections, timer requests, and pending timers —
-    /// on both backends (the distributed recovery path relies on this).
+    /// bit-identically — detections, timer requests, and pending timers
+    /// (the distributed recovery path relies on this).
     #[test]
     fn snapshot_roundtrip_resumes_equivalently() {
-        use crate::state::Snapshot;
-
         let prims = ["A", "B", "C"];
-        let defs = vec![
+        let defs = [
             ("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle),
             (
                 "Y",
@@ -2232,79 +1662,74 @@ mod tests {
         let trace = base_trace();
         let cut = 6;
 
-        let build = |sharing: bool| -> AnyDetector<CentralTime> {
-            let mut d: AnyDetector<CentralTime> = if sharing {
-                PlanDetector::new().into()
-            } else {
-                ShardedDetector::new().into()
-            };
+        let build = |n_defs: usize| {
+            let mut d = PlanDetector::<CentralTime>::new();
             for p in prims {
                 d.register(p).unwrap();
             }
-            for (name, e, ctx) in &defs {
+            for (name, e, ctx) in &defs[..n_defs] {
                 d.define(name, e, *ctx).unwrap();
             }
             d
         };
 
-        for sharing in [false, true] {
-            // Reference: uninterrupted run over the whole trace.
-            let mut reference = build(sharing);
-            let mut ref_steps = Vec::new();
-            for (name, t) in &trace {
-                let o = occ(reference.catalog(), name, *t);
-                let r = reference.feed(o);
-                ref_steps.push((r.detected, r.timers));
-            }
-
-            // Interrupted run: feed the prefix, snapshot, "crash", restore
-            // into a freshly compiled detector, feed the suffix.
-            let mut first = build(sharing);
-            for (name, t) in &trace[..cut] {
-                let o = occ(first.catalog(), name, *t);
-                first.feed(o);
-            }
-            let state = first.save_state();
-            let mut recovered = build(sharing);
-            // The other backend's snapshot is rejected, not misread.
-            let mut other = build(!sharing);
-            assert!(matches!(
-                other.restore_state(state.clone()),
-                Err(SnoopError::SnapshotMismatch(_))
-            ));
-            recovered.restore_state(state).unwrap();
-            assert_eq!(
-                recovered.pending_timer_count(),
-                first.pending_timer_count(),
-                "pending timers survive restore (sharing={sharing})"
-            );
-            for (i, (name, t)) in trace[cut..].iter().enumerate() {
-                let o = occ(recovered.catalog(), name, *t);
-                let r = recovered.feed(o);
-                let (ref_det, ref_tim) = &ref_steps[cut + i];
-                assert_eq!(&r.detected, ref_det, "{name}@{t} (sharing={sharing})");
-                assert_eq!(&r.timers, ref_tim, "{name}@{t} (sharing={sharing})");
-            }
-
-            // Every timer requested over the whole run fires identically.
-            assert_eq!(
-                recovered.pending_timer_count(),
-                reference.pending_timer_count()
-            );
-            let all_timers: Vec<_> = ref_steps
-                .iter()
-                .flat_map(|(_, tims)| tims.iter().copied())
-                .collect();
-            assert!(!all_timers.is_empty(), "trace must exercise timers");
-            for (i, (sid, req)) in all_timers.into_iter().enumerate() {
-                let at = CentralTime(100 + i as u64);
-                let fr = reference.fire_timer(sid, req.id, at).unwrap();
-                let fc = recovered.fire_timer(sid, req.id, at).unwrap();
-                assert_eq!(fr.detected, fc.detected, "timer {i} (sharing={sharing})");
-                assert_eq!(fr.timers, fc.timers, "timer {i} (sharing={sharing})");
-            }
-            assert_eq!(recovered.pending_timer_count(), 0);
+        // Reference: uninterrupted run over the whole trace.
+        let mut reference = build(defs.len());
+        let mut ref_steps = Vec::new();
+        for (name, t) in &trace {
+            let o = occ(reference.catalog(), name, *t);
+            let r = reference.feed(o);
+            ref_steps.push((r.detected, r.timers));
         }
+
+        // Interrupted run: feed the prefix, snapshot, "crash", restore
+        // into a freshly compiled detector, feed the suffix.
+        let mut first = build(defs.len());
+        for (name, t) in &trace[..cut] {
+            let o = occ(first.catalog(), name, *t);
+            first.feed(o);
+        }
+        let state = first.save_state();
+        // A detector compiled from other definitions rejects the state
+        // rather than misreading it.
+        let mut other = build(defs.len() - 1);
+        assert!(matches!(
+            other.restore_state(state.clone()),
+            Err(SnoopError::SnapshotMismatch(_))
+        ));
+        let mut recovered = build(defs.len());
+        recovered.restore_state(state).unwrap();
+        assert_eq!(
+            recovered.pending_timer_count(),
+            first.pending_timer_count(),
+            "pending timers survive restore"
+        );
+        for (i, (name, t)) in trace[cut..].iter().enumerate() {
+            let o = occ(recovered.catalog(), name, *t);
+            let r = recovered.feed(o);
+            let (ref_det, ref_tim) = &ref_steps[cut + i];
+            assert_eq!(&r.detected, ref_det, "{name}@{t}");
+            assert_eq!(&r.timers, ref_tim, "{name}@{t}");
+        }
+
+        // Every timer requested over the whole run fires identically.
+        assert_eq!(
+            recovered.pending_timer_count(),
+            reference.pending_timer_count()
+        );
+        let all_timers: Vec<_> = ref_steps
+            .iter()
+            .flat_map(|(_, tims)| tims.iter().copied())
+            .collect();
+        assert!(!all_timers.is_empty(), "trace must exercise timers");
+        for (i, (sid, req)) in all_timers.into_iter().enumerate() {
+            let at = CentralTime(100 + i as u64);
+            let fr = reference.fire_timer(sid, req.id, at).unwrap();
+            let fc = recovered.fire_timer(sid, req.id, at).unwrap();
+            assert_eq!(fr.detected, fc.detected, "timer {i}");
+            assert_eq!(fr.timers, fc.timers, "timer {i}");
+        }
+        assert_eq!(recovered.pending_timer_count(), 0);
     }
 
     #[test]
@@ -2338,26 +1763,52 @@ mod tests {
         for o in occs.clone() {
             seq_out.extend(serial.feed(o).detected);
         }
+        let mut columnar = build();
+        let mut staged = EventBatch::new();
+        for o in &occs {
+            staged.push_bare(o.ty, o.time);
+        }
         let batch_out = batch.feed_batch(occs).detected;
         assert_eq!(seq_out, batch_out);
+        assert_eq!(seq_out, columnar.feed_batch_columnar(&staged).detected);
     }
 
     #[test]
-    fn watermark_gc_runs_once_per_shared_node() {
-        // NOT strands guard state which the watermark can evict; shared
-        // plans evict it once. Detections stay identical with GC applied.
+    fn stages_follow_the_definition_dag() {
+        let mut plan = PlanDetector::<CentralTime>::new();
+        for n in ["A", "B", "C"] {
+            plan.register(n).unwrap();
+        }
+        let defs = [
+            ("X", E::seq(E::prim("A"), E::prim("B"))),
+            ("Y", E::and(E::prim("B"), E::prim("C"))),
+            ("Z", E::seq(E::prim("X"), E::prim("C"))),
+            ("W", E::seq(E::prim("Z"), E::prim("B"))),
+        ];
+        for (name, expr) in &defs {
+            plan.define(name, expr, Context::Chronicle).unwrap();
+        }
+        // X and Y reference only primitives; Z references X; W references Z.
+        let levels: Vec<usize> = (0..4).map(|d| plan.shard_level(d)).collect();
+        assert_eq!(levels, vec![0, 0, 1, 2]);
+        assert_eq!(plan.stage_count(), 3);
+    }
+
+    #[test]
+    fn watermark_gc_keeps_detections_identical() {
+        // NOT strands guard state which the watermark can evict; the
+        // plan's GC must not change what it detects relative to the
+        // GC-free reference.
         let not = E::not(E::prim("B"), E::prim("A"), E::prim("C"));
         let defs = vec![
             ("N1", not.clone(), Context::Chronicle),
             ("N2", E::seq(not.clone(), E::prim("B")), Context::Chronicle),
         ];
-        let (mut sharded, mut plan) = assert_equivalent(&["A", "B", "C"], &defs, &base_trace());
-        assert!(plan.buffered_occupancy() <= sharded.buffered_occupancy());
-        sharded.advance_watermark(11);
+        let (mut reference, mut plan) = assert_equivalent(&["A", "B", "C"], &defs, &base_trace());
         plan.advance_watermark(11);
         for (name, t) in [("A", 12), ("B", 13), ("C", 14), ("B", 15)] {
-            let o = occ(sharded.catalog(), name, t);
-            let rs = sharded.feed(o.clone());
+            let o = occ(reference.catalog(), name, t);
+            let rs = reference.feed(o.clone());
             let rp = plan.feed(o);
             assert_eq!(rs.detected, rp.detected, "{name}@{t} after GC");
         }
@@ -2412,44 +1863,6 @@ mod tests {
     }
 
     #[test]
-    fn any_detector_delegates_to_both_backends() {
-        let mk = |plan: bool| -> AnyDetector<CentralTime> {
-            let mut d: AnyDetector<CentralTime> = if plan {
-                PlanDetector::new().into()
-            } else {
-                ShardedDetector::new().into()
-            };
-            for n in ["A", "B"] {
-                d.register(n).unwrap();
-            }
-            d.define("X", &E::seq(E::prim("A"), E::prim("B")), Context::Chronicle)
-                .unwrap();
-            d.define(
-                "Y",
-                &E::seq(E::prim("A"), E::prim("B")),
-                Context::Continuous,
-            )
-            .unwrap();
-            d
-        };
-        let mut s = mk(false);
-        let mut p = mk(true);
-        assert_eq!(s.shard_count(), 2);
-        assert_eq!(p.shard_count(), 2);
-        for (name, t) in [("A", 1), ("B", 2)] {
-            let o = occ(s.catalog(), name, t);
-            assert_eq!(s.feed(o.clone()).detected, p.feed(o).detected);
-        }
-        let ss = s.plan_stats();
-        let ps = p.plan_stats();
-        assert_eq!(ss.shared_nodes, 0);
-        assert_eq!(ss.sharing_ratio, 0.0);
-        assert_eq!(ss.plan_nodes, 2);
-        assert_eq!(ps.plan_nodes, 2); // different contexts: no sharing
-        assert_eq!(ps.position_count, 2);
-    }
-
-    #[test]
     fn dot_renders_shared_plan_once() {
         let mut plan = PlanDetector::<CentralTime>::new();
         for n in ["A", "B", "C"] {
@@ -2472,198 +1885,5 @@ mod tests {
         assert!(dot.contains("-> def0 [style=dashed]"));
         assert!(dot.contains("-> def1 [style=dashed]"));
         assert_eq!(dot, plan.to_dot(), "deterministic output");
-    }
-}
-
-#[cfg(all(test, feature = "parallel"))]
-mod parallel_tests {
-    use super::*;
-    use crate::expr::EventExpr as E;
-    use crate::time::CentralTime;
-
-    /// Eight definitions over four primitives with deliberate
-    /// subexpression overlap (each `Seq` appears twice), plus — when
-    /// `cascade` is set — two extra stages referencing them. The overlap
-    /// forces multi-definition sharing components onto the pool.
-    fn build(cascade: bool) -> PlanDetector<CentralTime> {
-        let mut d = PlanDetector::new();
-        for n in ["A", "B", "C", "D"] {
-            d.register(n).unwrap();
-        }
-        let prims = ["A", "B", "C", "D"];
-        for i in 0..8usize {
-            let (p, q) = (prims[i % 4], prims[(i + 1) % 4]);
-            let name = format!("S{i}");
-            let seq = E::seq(E::prim(p), E::prim(q));
-            // Even defs are the bare seq; odd defs wrap the same seq, so
-            // S0/S1 share one node, S2/S3 another, and so on.
-            let expr = if i % 2 == 0 {
-                seq
-            } else {
-                let (p0, q0) = (prims[(i - 1) % 4], prims[i % 4]);
-                E::and(
-                    E::seq(E::prim(p0), E::prim(q0)),
-                    E::prim(prims[(i + 2) % 4]),
-                )
-            };
-            d.define(&name, &expr, Context::Chronicle).unwrap();
-        }
-        if cascade {
-            d.define(
-                "M",
-                &E::and(E::prim("S0"), E::prim("S1")),
-                Context::Unrestricted,
-            )
-            .unwrap();
-            d.define("T", &E::seq(E::prim("M"), E::prim("C")), Context::Chronicle)
-                .unwrap();
-        }
-        d
-    }
-
-    fn trace(d: &PlanDetector<CentralTime>) -> Vec<Occurrence<CentralTime>> {
-        let prims = ["A", "B", "C", "D"];
-        (0..64u64)
-            .map(|t| {
-                let ty = d.catalog().lookup(prims[(t % 4) as usize]).unwrap();
-                Occurrence::bare(ty, CentralTime(t))
-            })
-            .collect()
-    }
-
-    fn serial_reference(cascade: bool) -> ShardFeedResult<CentralTime> {
-        let mut d = build(cascade);
-        let occs = trace(&d);
-        let mut out = ShardFeedResult::default();
-        for occ in occs {
-            let r = d.feed(occ);
-            out.detected.extend(r.detected);
-            out.timers.extend(r.timers);
-        }
-        out
-    }
-
-    #[test]
-    fn overlap_creates_multi_def_components() {
-        let d = build(false);
-        assert!(d.shared_node_count() >= 4);
-        let components = d.component_count();
-        assert!(components < 8, "sharing must merge components");
-        assert!(components > 1, "disjoint prefixes stay separate");
-    }
-
-    #[test]
-    fn pooled_fanout_is_bit_identical_to_serial() {
-        let expect = serial_reference(false);
-        assert!(!expect.detected.is_empty());
-        for workers in [1, 2, 4, 8] {
-            let mut d = build(false);
-            assert!(!d.has_cross_shard_routes());
-            d.enable_pool_exact(workers);
-            let occs = trace(&d);
-            let got = d.feed_batch(occs);
-            assert_eq!(got.detected, expect.detected, "{workers} workers");
-            assert_eq!(got.timers, expect.timers, "{workers} workers");
-            assert!(d.parallel_rounds() > 0);
-            for node in &d.nodes {
-                assert!(node.log.is_empty(), "{workers} workers: log drained");
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_staged_cascade_is_bit_identical_to_serial() {
-        let expect = serial_reference(true);
-        assert!(
-            expect.detected.iter().any(|o| o.ty.0 >= 12),
-            "cascade must detect"
-        );
-        for workers in [1, 2, 4] {
-            let mut d = build(true);
-            assert!(d.has_cross_shard_routes());
-            assert_eq!(d.stage_count(), 3);
-            d.enable_pool_exact(workers);
-            let occs = trace(&d);
-            let got = d.feed_batch(occs);
-            assert_eq!(got.detected, expect.detected, "{workers} workers");
-            assert_eq!(got.timers, expect.timers, "{workers} workers");
-            assert!(d.parallel_rounds() > 0, "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn pooled_plan_matches_pooled_sharded_detector() {
-        // Cross-backend: the pooled plan equals the pooled *sharded*
-        // detector on the same workload (both equal their serial paths).
-        let mut sharded = ShardedDetector::<CentralTime>::new();
-        for n in ["A", "B", "C", "D"] {
-            sharded.register(n).unwrap();
-        }
-        let prims = ["A", "B", "C", "D"];
-        for i in 0..8usize {
-            let (p, q) = (prims[i % 4], prims[(i + 1) % 4]);
-            let name = format!("S{i}");
-            let seq = E::seq(E::prim(p), E::prim(q));
-            let expr = if i % 2 == 0 {
-                seq
-            } else {
-                let (p0, q0) = (prims[(i - 1) % 4], prims[i % 4]);
-                E::and(
-                    E::seq(E::prim(p0), E::prim(q0)),
-                    E::prim(prims[(i + 2) % 4]),
-                )
-            };
-            sharded.define(&name, &expr, Context::Chronicle).unwrap();
-        }
-        sharded.enable_pool_exact(4);
-        let mut plan = build(false);
-        plan.enable_pool_exact(4);
-        let occs = trace(&plan);
-        let rs = sharded.feed_batch(occs.clone());
-        let rp = plan.feed_batch(occs);
-        assert_eq!(rs.detected, rp.detected);
-        assert_eq!(rs.timers, rp.timers);
-    }
-
-    #[test]
-    fn pool_stats_accumulate() {
-        let mut d = build(false);
-        d.enable_pool_exact(4);
-        assert_eq!(d.worker_count(), 4);
-        assert_eq!(d.parallel_rounds(), 0);
-        let occs = trace(&d);
-        d.feed_batch(occs);
-        assert_eq!(d.parallel_rounds(), 1); // independent defs: one round
-        assert!(d.pool_busy_ns() > 0);
-    }
-
-    #[test]
-    fn enable_pool_clamps_to_def_count() {
-        let mut d = build(false); // 8 defs
-        d.enable_pool_exact(64);
-        assert_eq!(d.worker_count(), 8);
-    }
-
-    #[test]
-    fn enable_pool_caps_to_available_parallelism() {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut d = build(false); // 8 defs
-        d.enable_pool(64);
-        assert_eq!(d.worker_count(), 64.min(hw).clamp(1, 8));
-    }
-
-    #[test]
-    fn columnar_feed_is_bit_identical_to_serial() {
-        let expect = serial_reference(false);
-        let mut d = build(false);
-        let mut batch = EventBatch::new();
-        let prims = ["A", "B", "C", "D"];
-        for t in 0..64u64 {
-            let ty = d.catalog().lookup(prims[(t % 4) as usize]).unwrap();
-            batch.push_bare(ty, CentralTime(t));
-        }
-        let got = d.feed_batch_columnar(&batch);
-        assert_eq!(got.detected, expect.detected);
-        assert_eq!(got.timers, expect.timers);
     }
 }

@@ -15,15 +15,11 @@
 //! [`SnoopError::SnapshotMismatch`](crate::SnoopError) rather than
 //! guessing.
 //!
-//! [`Snapshot`] is the backend-facing trait: both detector backends
-//! ([`crate::ShardedDetector`] and [`crate::PlanDetector`]) implement it,
-//! as does the [`crate::AnyDetector`] wrapper, producing a
-//! [`DetectorState`] that a freshly compiled detector with the *same
-//! definitions* can restore.
+//! [`crate::PlanDetector::save_state`] produces a [`PlanState`] that a
+//! freshly compiled detector with the *same definitions* can restore.
 
-use crate::error::{Result, SnoopError};
+use crate::error::SnoopError;
 use crate::event::Occurrence;
-use crate::time::EventTime;
 
 /// The buffered state of one operator node, in a shape-agnostic encoding
 /// (see the module docs). An empty `NodeState` is the state of a stateless
@@ -79,20 +75,6 @@ pub(crate) fn max_buffered_uid<T>(nodes: &[NodeState<T>]) -> u64 {
         .unwrap_or(0)
 }
 
-/// The state of one compiled [`crate::EventGraph`]: per-node operator
-/// states (in node-build order, which is deterministic per expression) and
-/// the pending-timer table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphState<T> {
-    /// One entry per graph node, in build order.
-    pub nodes: Vec<NodeState<T>>,
-    /// Pending timers as `(timer id, node index, node-internal tag)`,
-    /// sorted by timer id.
-    pub timers: Vec<(u64, u32, u64)>,
-    /// The next timer id the graph will assign.
-    pub next_timer: u64,
-}
-
 /// Pending-timer bookkeeping of one definition inside a shared plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DefTimers {
@@ -115,28 +97,4 @@ pub struct PlanState<T> {
     pub execs: Vec<u64>,
     /// One entry per definition, in definition order.
     pub defs: Vec<DefTimers>,
-}
-
-/// A whole detector's buffered state, tagged by backend. Restoring requires
-/// a detector compiled from the same definitions with the same backend.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DetectorState<T> {
-    /// One [`GraphState`] per definition shard.
-    Sharded(Vec<GraphState<T>>),
-    /// The hash-consed shared plan's state.
-    Plan(PlanState<T>),
-}
-
-/// Save/restore of a detector's buffered operator state. Restoring into a
-/// detector whose compiled shape differs from the saved one (different
-/// definitions, different backend) fails with
-/// [`SnoopError::SnapshotMismatch`](crate::SnoopError).
-pub trait Snapshot<T: EventTime> {
-    /// Serialize the buffered state of every operator node plus timer
-    /// bookkeeping.
-    fn save_state(&self) -> DetectorState<T>;
-
-    /// Restore a state produced by [`Snapshot::save_state`] on a detector
-    /// compiled from the same definitions.
-    fn restore_state(&mut self, state: DetectorState<T>) -> Result<()>;
 }

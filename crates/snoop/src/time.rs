@@ -33,7 +33,7 @@ pub trait EventTime: Clone + Debug + PartialEq + Send + Sync + 'static {
     fn max(&self, other: &Self) -> Self;
 
     /// An arbitrary-but-fixed *total* order over stamps, used only to merge
-    /// detections from independent graph shards into one canonical,
+    /// one trigger's detections across definitions into one canonical,
     /// reproducible sequence. It must be consistent with equality, and for
     /// totally ordered domains it must agree with [`EventTime::relation`];
     /// for partially ordered domains (composite timestamps) incomparable

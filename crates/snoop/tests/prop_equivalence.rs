@@ -8,7 +8,7 @@
 //! detectors, and compare detection counts and occurrence times.
 
 use decs_core::{cts, CompositeTimestamp};
-use decs_snoop::{CentralTime, Context, Detector, EventExpr, Occurrence};
+use decs_snoop::{CentralTime, Context, EventExpr, Occurrence, PlanDetector};
 use decs_testkit::{check, pick, vec_of, SplitMix64};
 
 /// Branch probability per nesting level, outermost first: the schedule
@@ -78,8 +78,8 @@ fn single_site_distributed_equals_centralized() {
         let trace = trace_strategy(rng);
         let names = ["A", "B", "C"];
 
-        let mut central: Detector<CentralTime> = Detector::new();
-        let mut distrib: Detector<CompositeTimestamp> = Detector::new();
+        let mut central: PlanDetector<CentralTime> = PlanDetector::new();
+        let mut distrib: PlanDetector<CompositeTimestamp> = PlanDetector::new();
         for n in names {
             central.register(n).unwrap();
             distrib.register(n).unwrap();
@@ -90,12 +90,12 @@ fn single_site_distributed_equals_centralized() {
         let mut central_dets: Vec<Occurrence<CentralTime>> = Vec::new();
         let mut distrib_dets: Vec<Occurrence<CompositeTimestamp>> = Vec::new();
         for &(e, t) in &trace {
-            let rc = central
-                .feed_named(names[e], CentralTime(t), vec![])
-                .unwrap();
+            let ty = central.catalog().lookup(names[e]).unwrap();
+            let rc = central.feed(Occurrence::bare(ty, CentralTime(t)));
             assert!(rc.timers.is_empty());
             central_dets.extend(rc.detected);
-            let rd = distrib.feed_named(names[e], dist_time(t), vec![]).unwrap();
+            let ty = distrib.catalog().lookup(names[e]).unwrap();
+            let rd = distrib.feed(Occurrence::bare(ty, dist_time(t)));
             distrib_dets.extend(rd.detected);
         }
 

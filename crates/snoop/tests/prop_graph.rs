@@ -2,7 +2,10 @@
 //! counts are monotone in the context hierarchy for SEQ, and feeding is
 //! deterministic.
 
-use decs_snoop::{CentralDetector, CentralTime, Context, Detector, EventExpr as E, Mask, Value};
+use decs_snoop::{
+    CentralDetector, CentralTime, Context, EventExpr as E, Mask, Occurrence, ReferenceDetector,
+    Value,
+};
 use decs_testkit::{check, vec_of, SplitMix64};
 
 /// (event 0/1, integer parameter)
@@ -128,8 +131,8 @@ fn detection_is_deterministic() {
     });
 }
 
-/// The generic Detector over CentralTime and the CentralDetector agree
-/// when no timers are involved.
+/// The reference interpreter over CentralTime and the CentralDetector
+/// agree when no timers are involved.
 #[test]
 fn detector_wrappers_agree() {
     check("detector_wrappers_agree", CASES, |rng| {
@@ -137,18 +140,16 @@ fn detector_wrappers_agree() {
         let expr = E::seq(E::prim("A"), E::prim("B"));
         let names = ["A", "B"];
         let wrapped = run_counts(&expr, Context::Chronicle, &trace);
-        let mut raw: Detector<CentralTime> = Detector::new();
+        let mut raw: ReferenceDetector<CentralTime> = ReferenceDetector::new();
         for n in names {
             raw.register(n).unwrap();
         }
         raw.define("X", &expr, Context::Chronicle).unwrap();
         let mut count = 0;
         for (k, &(ev, v)) in trace.iter().enumerate() {
-            count += raw
-                .feed_named(names[ev], CentralTime(k as u64 + 1), vec![Value::Int(v)])
-                .unwrap()
-                .detected
-                .len();
+            let ty = raw.catalog().lookup(names[ev]).unwrap();
+            let occ = Occurrence::primitive(ty, CentralTime(k as u64 + 1), vec![Value::Int(v)]);
+            count += raw.feed(occ).detected.len();
         }
         assert_eq!(wrapped, count);
     });

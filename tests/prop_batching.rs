@@ -4,12 +4,6 @@
 //! the same composite timestamps, in the same order, as the per-event
 //! (batch-size-1) engine. This is the contract that makes batching a pure
 //! transport optimization.
-//!
-//! Under `--features parallel` a second suite pins the same contract for
-//! the persistent worker pool: staged-parallel detection over a
-//! cross-definition cascade (a three-stage dependency chain) is bit-for-bit
-//! identical to the forced-serial engine, crossed with `buffer_gc` on/off
-//! and worker counts 2–4.
 
 use decs::core::CompositeTimestamp;
 use decs::distrib::{Engine, EngineConfig, Metrics};
@@ -121,95 +115,4 @@ fn batched_runs_are_reproducible() {
         let (b, _) = run(sites, seed, Nanos::from_millis(batch_ms), &trace);
         assert_eq!(a, b);
     });
-}
-
-/// Staged-parallel == serial determinism over a cross-definition cascade.
-#[cfg(feature = "parallel")]
-mod parallel_pool {
-    use super::*;
-
-    /// A three-stage cascade: `X` (level 0) feeds `Y` (level 1) feeds `Z`
-    /// (level 2), so pooled batches run as staged waves, not a single
-    /// fan-out round.
-    fn build(sites: u32, seed: u64, worker_count: usize, buffer_gc: bool) -> Engine {
-        let scenario = ScenarioBuilder::new(sites, seed)
-            .global_granularity(Granularity::per_second(10).unwrap())
-            .max_offset_ns(1_000_000)
-            .build()
-            .unwrap();
-        Engine::new(
-            &scenario,
-            EngineConfig {
-                worker_count,
-                buffer_gc,
-                ..EngineConfig::default()
-            },
-            &NAMES,
-            &[
-                ("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle),
-                (
-                    "Y",
-                    E::and(E::prim("X"), E::prim("C")),
-                    Context::Unrestricted,
-                ),
-                ("Z", E::seq(E::prim("Y"), E::prim("C")), Context::Chronicle),
-            ],
-        )
-        .unwrap()
-    }
-
-    fn run(
-        sites: u32,
-        seed: u64,
-        worker_count: usize,
-        buffer_gc: bool,
-        trace: &[(u64, u32, usize)],
-    ) -> (Vec<(String, CompositeTimestamp)>, Metrics) {
-        let mut e = build(sites, seed, worker_count, buffer_gc);
-        for &(ms, site, ev) in trace {
-            e.inject(Nanos::from_millis(ms), site, NAMES[ev], vec![])
-                .unwrap();
-        }
-        let det = e
-            .run_for(Nanos::from_secs(8))
-            .into_iter()
-            .map(|d| (d.name, d.occ.time))
-            .collect();
-        (det, e.metrics())
-    }
-
-    /// The pool equivalence: worker count must not change what is
-    /// detected, when (composite time), or in what order — on a cascade
-    /// where pooled batches must run staged waves, with and without
-    /// buffer GC.
-    #[test]
-    fn staged_parallel_is_equivalent_to_serial() {
-        check("staged_parallel_is_equivalent_to_serial", 128, |rng| {
-            let raw_trace = workload(rng, 5);
-            let sites = rng.next_range(1, 5) as u32;
-            let trace = fold_sites(raw_trace, sites);
-            let seed = rng.next_range(0, 999);
-            let workers = rng.next_range(2, 4) as usize;
-            let buffer_gc = rng.next_range(0, 1) == 1;
-            let (serial, m_ser) = run(sites, seed, 1, buffer_gc, &trace);
-            let (pooled, m_par) = run(sites, seed, workers, buffer_gc, &trace);
-            assert_eq!(&serial, &pooled);
-            // Both engines saw the full workload; the pooled run really
-            // ran on the pool (worker_count=1 forces the serial path).
-            assert_eq!(m_ser.events_received, m_par.events_received);
-            assert_eq!(m_ser.worker_count, 0);
-            assert_eq!(m_ser.parallel_rounds, 0);
-            assert_eq!(m_par.worker_count, workers.min(3));
-            assert_eq!(m_par.stage_count, 3);
-            // A `C` primitive triggers two shards at once (`Y` and `Z`),
-            // which is the shape the staged scheduler dispatches to the
-            // pool (single-subscriber waves stay on the calling thread by
-            // design). So any fully-released trace containing a `C` must
-            // have recorded pooled rounds.
-            let has_c = trace.iter().any(|&(_, _, ev)| ev == 2);
-            if has_c && m_par.events_released == m_par.events_received {
-                assert!(m_par.parallel_rounds > 0);
-            }
-        });
-    }
 }

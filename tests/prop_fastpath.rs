@@ -100,7 +100,7 @@ fn fast_kernels_equal_naive_oracles_wide() {
 /// Banded SEQ buffer vs the linear arrival-order scan.
 mod banded_seq {
     use super::*;
-    use decs::snoop::{Detector, EventTime, Occurrence};
+    use decs::snoop::{Catalog, EventGraph, EventTime, Occurrence};
 
     /// A random initiator/terminator stream. Each element is `(is_term,
     /// stamp)`; stamps use the same site-monotone construction as
@@ -200,7 +200,7 @@ mod banded_seq {
         out
     }
 
-    /// The production `SEQ` detector (banded buffer) emits exactly what
+    /// The production `SEQ` node (banded buffer) emits exactly what
     /// the linear oracle emits, in the same order, under every parameter
     /// context.
     #[test]
@@ -214,11 +214,14 @@ mod banded_seq {
                 Context::Continuous,
                 Context::Cumulative,
             ] {
-                let mut d: Detector<CompositeTimestamp> = Detector::new();
-                let a = d.register("A").unwrap();
-                let b = d.register("B").unwrap();
+                // The bare graph: the SEQ node's own emission order, with no
+                // per-trigger canonical merge on top.
+                let mut cat = Catalog::new();
+                let mut d: EventGraph<CompositeTimestamp> = EventGraph::new();
+                let a = cat.register("A").unwrap();
+                let b = cat.register("B").unwrap();
                 let x = d
-                    .define("X", &E::seq(E::prim("A"), E::prim("B")), ctx)
+                    .compile(&mut cat, "X", &E::seq(E::prim("A"), E::prim("B")), ctx)
                     .unwrap();
                 let mut detected = Vec::new();
                 for (is_term, t) in &stream {

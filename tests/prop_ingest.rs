@@ -1,20 +1,18 @@
 //! Equivalence property suite for the columnar ingestion hot path.
 //!
 //! The contract is exact: feeding a workload through the
-//! struct-of-arrays [`EventBatch`] path (`CentralDetector::feed_columnar`,
-//! arbitrarily chunked) must produce the same named detections — same
-//! composite timestamps, same accumulated parameters, same order — as
-//! feeding every occurrence individually through `CentralDetector::feed`,
-//! for arbitrary traces across all five parameter contexts, with buffer
-//! GC on or off, for both the shared-plan and sharded backends, and for
-//! worker pools of 1, 2, or 4 threads (the `parallel` feature; ignored —
-//! and still exact — without it). A deterministic companion test pins the
-//! arena no-resurrection guarantee: handles minted before a generation
-//! reset never resolve afterwards.
+//! struct-of-arrays [`EventBatch`] path (`CentralDetector::feed_columnar`
+//! on the shared plan, arbitrarily chunked, buffer GC on or off) must
+//! produce the same named detections — same composite timestamps, same
+//! accumulated parameters, same order — as feeding every occurrence
+//! individually through the GC-free [`ReferenceDetector`], for arbitrary
+//! traces across all five parameter contexts. A deterministic companion
+//! test pins the arena no-resurrection guarantee: handles minted before a
+//! generation reset never resolve afterwards.
 
 use decs::snoop::{
-    CentralDetector, CentralTime, Context, EventBatch, EventExpr as E, Occurrence, ParamArena,
-    Value,
+    CentralDetector, CentralTime, Context, EventBatch, EventExpr, EventExpr as E, Occurrence,
+    ParamArena, ReferenceDetector, Value,
 };
 use decs_testkit::{check, pick, vec_of, SplitMix64};
 
@@ -33,15 +31,7 @@ const CTXS: [Context; 5] = [
 /// operator set: binary Seq/And/Or, n-ary Any, and NOT (whose middle
 /// negative slot makes parameter consumption order-sensitive — the
 /// sharpest probe for a reordered feed).
-fn build(sharded: bool, gc: bool, workers: usize) -> CentralDetector {
-    let mut d = if sharded {
-        CentralDetector::sharded()
-    } else {
-        CentralDetector::plan()
-    };
-    for name in NAMES {
-        d.register(name).unwrap();
-    }
+fn definitions() -> Vec<(String, EventExpr, Context)> {
     let ab = E::seq(E::prim("A"), E::prim("B"));
     let bodies = [
         ab.clone(),
@@ -50,17 +40,12 @@ fn build(sharded: bool, gc: bool, workers: usize) -> CentralDetector {
         E::any(2, vec![E::prim("A"), E::prim("B"), E::prim("C")]),
         E::not(E::prim("B"), E::prim("A"), E::prim("C")),
     ];
-    for (i, (body, ctx)) in bodies.iter().zip(CTXS).enumerate() {
-        d.define(&format!("D{i}"), body, ctx).unwrap();
-    }
-    d.set_buffer_gc(gc);
-    if workers > 1 {
-        // Exact: bypass the available-parallelism cap so multi-worker
-        // SPSC hand-off is exercised even on small CI machines.
-        #[cfg(feature = "parallel")]
-        d.enable_worker_pool_exact(workers);
-    }
-    d
+    bodies
+        .into_iter()
+        .zip(CTXS)
+        .enumerate()
+        .map(|(i, (body, ctx))| (format!("D{i}"), body, ctx))
+        .collect()
 }
 
 /// Random workload row: (tick delta, event index, parameter payload).
@@ -78,43 +63,51 @@ fn workload(rng: &mut SplitMix64) -> Vec<(u64, usize, Vec<u64>)> {
 
 type Detections = Vec<(String, Occurrence<CentralTime>)>;
 
-fn named(d: &CentralDetector, r: Vec<Occurrence<CentralTime>>) -> Detections {
-    r.into_iter()
-        .map(|o| (d.name_of(&o).to_string(), o))
-        .collect()
+fn values(payload: &[u64]) -> Vec<Value> {
+    payload.iter().map(|&v| Value::Int(v as i64)).collect()
 }
 
-/// Oracle: one `feed` call per row, in order.
-fn run_per_event(
-    sharded: bool,
-    gc: bool,
-    workers: usize,
-    trace: &[(u64, usize, Vec<u64>)],
-) -> Detections {
-    let mut d = build(sharded, gc, workers);
+/// Oracle: the reference interpreter, one `feed` call per row, in order.
+fn run_per_event(trace: &[(u64, usize, Vec<u64>)]) -> Detections {
+    let mut d = ReferenceDetector::new();
+    for name in NAMES {
+        d.register(name).unwrap();
+    }
+    for (name, body, ctx) in definitions() {
+        d.define(&name, &body, ctx).unwrap();
+    }
     let mut out = Vec::new();
     let mut tick = 1;
     for (delta, ev, payload) in trace {
         tick += delta;
-        let values: Vec<Value> = payload.iter().map(|&v| Value::Int(v as i64)).collect();
-        let r = d.feed(NAMES[*ev], tick, values).unwrap();
-        out.extend(named(&d, r));
+        let ty = d.catalog().lookup(NAMES[*ev]).unwrap();
+        let r = d.feed(Occurrence::primitive(
+            ty,
+            CentralTime(tick),
+            values(payload),
+        ));
+        out.extend(
+            r.detected
+                .into_iter()
+                .map(|o| (d.catalog().name(o.ty).to_string(), o)),
+        );
     }
     out
 }
 
-/// Candidate: the same rows staged struct-of-arrays and fed through
-/// `feed_columnar` in `chunk`-sized batches (chunk ≥ trace length ⇒ one
-/// whole-batch call). The staging batch is reused across chunks, so the
-/// arena's generation counter actually advances mid-run.
-fn run_columnar(
-    sharded: bool,
-    gc: bool,
-    workers: usize,
-    chunk: usize,
-    trace: &[(u64, usize, Vec<u64>)],
-) -> Detections {
-    let mut d = build(sharded, gc, workers);
+/// Candidate: the same rows staged struct-of-arrays and fed through the
+/// plan's `feed_columnar` in `chunk`-sized batches (chunk ≥ trace length ⇒
+/// one whole-batch call). The staging batch is reused across chunks, so
+/// the arena's generation counter actually advances mid-run.
+fn run_columnar(gc: bool, chunk: usize, trace: &[(u64, usize, Vec<u64>)]) -> Detections {
+    let mut d = CentralDetector::new();
+    for name in NAMES {
+        d.register(name).unwrap();
+    }
+    for (name, body, ctx) in definitions() {
+        d.define(&name, &body, ctx).unwrap();
+    }
+    d.set_buffer_gc(gc);
     let mut batch = EventBatch::new();
     let mut out = Vec::new();
     let mut tick = 1;
@@ -126,12 +119,11 @@ fn run_columnar(
             if payload.is_empty() {
                 batch.push_bare(ty, CentralTime(tick));
             } else {
-                let values: Vec<Value> = payload.iter().map(|&v| Value::Int(v as i64)).collect();
-                batch.push(ty, CentralTime(tick), values);
+                batch.push(ty, CentralTime(tick), values(payload));
             }
         }
         let r = d.feed_columnar(&batch).unwrap();
-        out.extend(named(&d, r));
+        out.extend(r.into_iter().map(|o| (d.name_of(&o).to_string(), o)));
     }
     out
 }
@@ -145,16 +137,11 @@ fn columnar_ingest_is_bit_identical_to_per_event_feeds() {
         256,
         |rng| {
             let trace = workload(rng);
-            let sharded = pick(rng, &[false, true]);
             let buffer_gc = pick(rng, &[true, false]);
-            let workers = pick(rng, &[1usize, 2, 4]);
             let chunk = rng.next_range(1, 63) as usize;
-            let oracle = run_per_event(sharded, buffer_gc, workers, &trace);
-            let columnar = run_columnar(sharded, buffer_gc, workers, chunk, &trace);
-            assert_eq!(
-                &columnar, &oracle,
-                "sharded={sharded} gc={buffer_gc} workers={workers} chunk={chunk}"
-            );
+            let oracle = run_per_event(&trace);
+            let columnar = run_columnar(buffer_gc, chunk, &trace);
+            assert_eq!(&columnar, &oracle, "gc={buffer_gc} chunk={chunk}");
         },
     );
 }
@@ -165,7 +152,7 @@ fn columnar_ingest_is_bit_identical_to_per_event_feeds() {
 /// immortal by construction.
 #[test]
 fn arena_reset_never_resurrects_owned_handles() {
-    let mut d = CentralDetector::plan();
+    let mut d = CentralDetector::new();
     for name in NAMES {
         d.register(name).unwrap();
     }

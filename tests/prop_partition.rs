@@ -6,9 +6,8 @@
 //! single-coordinator deployment — for every N, across the full config
 //! matrix, and across a replica crash + WAL recovery.
 //!
-//! 72 seeded comparisons: 6 seeds × {GC on/off} × {plan sharing on/off}
-//! × {workers 1/2/4}, each run at N = 1 (classic plane), N = 2 and N = 4
-//! and compared pairwise. The definitions chain across partitions (the
+//! 12 seeded comparisons: 6 seeds × {GC on/off}, each run at N = 1
+//! (classic plane), N = 2 and N = 4 and compared pairwise. The definitions chain across partitions (the
 //! third consumes the second, which consumes the first), so every run
 //! exercises cross-replica forwarding, not just disjoint sub-planes.
 //!
@@ -39,23 +38,17 @@ fn scenario(seed: u64) -> Scenario {
         .unwrap()
 }
 
-/// The config matrix: every combination of the switches that change how
-/// much machinery sits between a routed announcement and a detection.
+/// The config matrix: operator-buffer GC on and off — the switch that
+/// changes how much machinery sits between a routed announcement and a
+/// detection.
 fn matrix() -> Vec<EngineConfig> {
-    let mut out = Vec::new();
-    for &buffer_gc in &[true, false] {
-        for &plan_sharing in &[true, false] {
-            for &worker_count in &[1usize, 2, 4] {
-                out.push(EngineConfig {
-                    buffer_gc,
-                    plan_sharing,
-                    worker_count,
-                    ..EngineConfig::default()
-                });
-            }
-        }
-    }
-    out
+    [true, false]
+        .into_iter()
+        .map(|buffer_gc| EngineConfig {
+            buffer_gc,
+            ..EngineConfig::default()
+        })
+        .collect()
 }
 
 /// Non-temporal definitions that reference each other by name, so that

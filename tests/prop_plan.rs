@@ -1,22 +1,29 @@
 //! Equivalence property suite for the shared, hash-consed plan IR.
 //!
 //! The contract is exact: compiling a definition set into **one shared
-//! plan** (`plan_sharing: true`, the default) must produce the same named
-//! detections — same composite timestamps, same accumulated parameters,
-//! same order — as compiling every definition **independently**
-//! (`plan_sharing: false`, the differential oracle), for arbitrary
-//! overlapping definition sets across all five parameter contexts,
-//! with buffer GC on or off, and for worker pools of 1, 2, or 4 threads
-//! (the `parallel` feature; ignored — and still exact — without it).
+//! plan** ([`PlanDetector`], the production detector) must produce the
+//! same named detections — same composite timestamps, same accumulated
+//! parameters, same order — as compiling every definition
+//! **independently** ([`ReferenceDetector`], the differential oracle), for
+//! arbitrary overlapping definition sets across all five parameter
+//! contexts. The plan is driven the way the coordinator drives it: one
+//! columnar batch per release round (one global tick of a stamped 4-site
+//! trace, in canonical release order), with watermark GC on or off behind
+//! each round. The reference is fed the same stamped trace one occurrence
+//! at a time, without GC.
 
-use decs::distrib::{Engine, EngineConfig, Metrics};
+use decs::core::{CompositeTimestamp, PrimitiveTimestamp};
 use decs::simnet::ScenarioBuilder;
-use decs::snoop::{Context, EventExpr, EventExpr as E};
+use decs::snoop::{
+    Context, EventBatch, EventExpr, EventExpr as E, EventId, Occurrence, PlanDetector, PlanStats,
+    ReferenceDetector, Value,
+};
 use decs_chronos::{Granularity, Nanos};
-use decs_core::CompositeTimestamp;
 use decs_testkit::{check, pick, vec_of, SplitMix64};
 
 const NAMES: [&str; 3] = ["A", "B", "C"];
+
+const SITES: u32 = 4;
 
 const CTXS: [Context; 5] = [
     Context::Unrestricted,
@@ -56,54 +63,104 @@ fn workload(rng: &mut SplitMix64, sites: u32) -> Vec<(u64, u32, usize)> {
     })
 }
 
-/// One run: compile the picked `(body, context)` definitions with or
-/// without plan sharing, inject the trace, and collect the full
-/// detections (name, timestamp, parameters — via `Occurrence` equality).
-fn run(
-    seed: u64,
-    plan_sharing: bool,
-    buffer_gc: bool,
-    worker_count: usize,
-    picks: &[(usize, usize)],
-    trace: &[(u64, u32, usize)],
-) -> (
-    Vec<(String, decs::snoop::Occurrence<CompositeTimestamp>)>,
-    Metrics,
-) {
-    let scenario = ScenarioBuilder::new(4, seed)
+/// The trace as the sites stamp it, in the coordinator's canonical
+/// release order (maximum global tick, then site, then the site's own
+/// order). Each occurrence carries its trace index as its parameter, so
+/// the comparison also pins which primitives every detection consumed.
+/// Primitive ids are the registration order of [`NAMES`].
+fn stamped(seed: u64, trace: &[(u64, u32, usize)]) -> Vec<Occurrence<CompositeTimestamp>> {
+    let scenario = ScenarioBuilder::new(SITES, seed)
         .global_granularity(Granularity::per_second(10).unwrap())
         .max_offset_ns(1_000_000)
         .build()
         .unwrap();
-    let pool = bodies();
-    let names: Vec<String> = (0..picks.len()).map(|i| format!("D{i}")).collect();
-    let defs: Vec<(&str, EventExpr, Context)> = picks
+    let sources: Vec<_> = (0..SITES).map(|s| scenario.time_source(s)).collect();
+    let mut rows: Vec<(u64, u32, u64, usize, Occurrence<CompositeTimestamp>)> = trace
         .iter()
-        .zip(&names)
-        .map(|(&(b, c), name)| (name.as_str(), pool[b].clone(), CTXS[c]))
+        .enumerate()
+        .filter_map(|(i, &(ms, site, ev))| {
+            let p = sources[site as usize].stamp(Nanos::from_millis(ms)).ok()?;
+            let ts =
+                CompositeTimestamp::singleton(PrimitiveTimestamp::new(p.site, p.global, p.local));
+            let occ = Occurrence::primitive(EventId(ev as u32), ts, vec![Value::Int(i as i64)]);
+            Some((occ.time.max_global(), site, ms, i, occ))
+        })
         .collect();
-    let mut e = Engine::new(
-        &scenario,
-        EngineConfig {
-            plan_sharing,
-            buffer_gc,
-            worker_count,
-            ..EngineConfig::default()
-        },
-        &NAMES,
-        &defs,
-    )
-    .unwrap();
-    for &(ms, site, ev) in trace {
-        e.inject(Nanos::from_millis(ms), site, NAMES[ev], vec![])
-            .unwrap();
+    rows.sort_by_key(|r| (r.0, r.1, r.2, r.3));
+    rows.into_iter().map(|r| r.4).collect()
+}
+
+/// The picked `(body, context)` definitions, named `D0, D1, …`.
+fn definitions(picks: &[(usize, usize)]) -> Vec<(String, EventExpr, Context)> {
+    let pool = bodies();
+    picks
+        .iter()
+        .enumerate()
+        .map(|(i, &(b, c))| (format!("D{i}"), pool[b].clone(), CTXS[c]))
+        .collect()
+}
+
+type Detections = Vec<(String, Occurrence<CompositeTimestamp>)>;
+
+/// The shared plan, fed one columnar batch per release round, advancing
+/// the watermark behind each round when `buffer_gc` is set (every later
+/// round's stamps sit at a strictly higher global tick). Returns the
+/// detections and the plan's sharing counters.
+fn run_plan(
+    picks: &[(usize, usize)],
+    occs: &[Occurrence<CompositeTimestamp>],
+    buffer_gc: bool,
+) -> (Detections, PlanStats) {
+    let mut d = PlanDetector::new();
+    for name in NAMES {
+        d.register(name).unwrap();
     }
-    let det = e
-        .run_for(Nanos::from_secs(6))
-        .into_iter()
-        .map(|d| (d.name, d.occ))
-        .collect();
-    (det, e.metrics())
+    for (name, body, ctx) in definitions(picks) {
+        d.define(&name, &body, ctx).unwrap();
+    }
+    let mut batch = EventBatch::new();
+    let mut out = Vec::new();
+    for round in occs.chunk_by(|a, b| a.time.max_global() == b.time.max_global()) {
+        batch.clear();
+        for o in round {
+            batch.push_list(o.ty, o.time.clone(), o.params.clone());
+        }
+        let r = d.feed_batch_columnar(&batch);
+        out.extend(
+            r.detected
+                .into_iter()
+                .map(|o| (d.catalog().name(o.ty).to_string(), o)),
+        );
+        if buffer_gc {
+            d.advance_watermark(round[0].time.max_global());
+        }
+    }
+    (out, d.plan_stats())
+}
+
+/// The oracle: independent per-definition graphs, one occurrence at a
+/// time, no GC. Returns the detections and the total node count.
+fn run_reference(
+    picks: &[(usize, usize)],
+    occs: &[Occurrence<CompositeTimestamp>],
+) -> (Detections, usize) {
+    let mut d = ReferenceDetector::new();
+    for name in NAMES {
+        d.register(name).unwrap();
+    }
+    for (name, body, ctx) in definitions(picks) {
+        d.define(&name, &body, ctx).unwrap();
+    }
+    let mut out = Vec::new();
+    for o in occs {
+        let r = d.feed(o.clone());
+        out.extend(
+            r.detected
+                .into_iter()
+                .map(|o| (d.catalog().name(o.ty).to_string(), o)),
+        );
+    }
+    (out, d.node_count())
 }
 
 /// The tentpole contract: the shared plan detects exactly what
@@ -114,25 +171,21 @@ fn shared_plan_is_bit_identical_to_independent_compilation() {
         "shared_plan_is_bit_identical_to_independent_compilation",
         256,
         |rng| {
-            let raw_trace = workload(rng, 4);
+            let raw_trace = workload(rng, SITES);
             let picks = vec_of(rng, 1, 5, |r| {
                 (r.next_below(6) as usize, r.next_below(5) as usize)
             });
             let seed = rng.next_range(0, 999);
             let buffer_gc = pick(rng, &[true, false]);
-            let worker_count = pick(rng, &[1usize, 2, 4]);
-            let (shared, m_shared) = run(seed, true, buffer_gc, worker_count, &picks, &raw_trace);
-            let (unshared, m_unshared) =
-                run(seed, false, buffer_gc, worker_count, &picks, &raw_trace);
-            assert_eq!(&shared, &unshared, "picks={picks:?}");
-            // Both runs saw the same workload.
-            assert_eq!(m_shared.events_received, m_unshared.events_received);
-            assert_eq!(m_shared.events_released, m_unshared.events_released);
-            // The oracle really compiled independently…
-            assert_eq!(m_unshared.shared_nodes, 0);
-            assert_eq!(m_unshared.sharing_ratio, 0.0);
+            let occs = stamped(seed, &raw_trace);
+            let (shared, stats) = run_plan(&picks, &occs, buffer_gc);
+            let (unshared, reference_nodes) = run_reference(&picks, &occs);
+            assert_eq!(&shared, &unshared, "picks={picks:?} gc={buffer_gc}");
+            // The oracle really compiled independently: one node per
+            // subexpression position…
+            assert_eq!(stats.position_count, reference_nodes, "picks={picks:?}");
             // …and the plan never has more nodes than the independent graphs.
-            assert!(m_shared.plan_nodes <= m_unshared.plan_nodes);
+            assert!(stats.plan_nodes <= reference_nodes);
             // A duplicated `(body, context)` pick provably shares at least one
             // node (same structure, same context ⇒ cons hit on the whole
             // tree); so does any duplicated pick of the stateless body 5
@@ -144,7 +197,7 @@ fn shared_plan_is_bit_identical_to_independent_compilation() {
             sorted.sort_unstable();
             sorted.dedup();
             if sorted.len() < picks.len() {
-                assert!(m_shared.shared_nodes > 0, "picks={picks:?}");
+                assert!(stats.shared_nodes > 0, "picks={picks:?}");
             }
         },
     );
@@ -161,23 +214,27 @@ fn five_contexts_over_one_body_share_and_match() {
     let trace: Vec<(u64, u32, usize)> = (0..30)
         .map(|i| (100 + i * 90, (i % 4) as u32, (i % 3) as usize))
         .collect();
+    let occs = stamped(7, &trace);
     let stateless: Vec<(usize, usize)> = (0..5).map(|c| (5, c)).collect();
-    let (shared, m_shared) = run(7, true, true, 2, &stateless, &trace);
-    let (unshared, m_unshared) = run(7, false, true, 2, &stateless, &trace);
+    let (shared, stats) = run_plan(&stateless, &occs, true);
+    let (unshared, reference_nodes) = run_reference(&stateless, &occs);
     assert_eq!(shared, unshared);
     assert!(!shared.is_empty(), "workload must actually detect");
-    assert_eq!(m_unshared.shared_nodes, 0);
     // One Or node where independent compilation builds five.
-    assert_eq!(m_shared.plan_nodes, 1);
-    assert_eq!(m_shared.shared_nodes, 1);
-    assert!(m_shared.sharing_ratio > 0.0);
+    assert_eq!(reference_nodes, 5);
+    assert_eq!(stats.plan_nodes, 1);
+    assert_eq!(stats.shared_nodes, 1);
+    assert!(stats.sharing_ratio > 0.0);
 
     let stateful: Vec<(usize, usize)> = (0..5).map(|c| (1, c)).collect();
-    let (s2, m2) = run(7, true, true, 2, &stateful, &trace);
-    let (u2, m2u) = run(7, false, true, 2, &stateful, &trace);
+    let (s2, stats2) = run_plan(&stateful, &occs, true);
+    let (u2, reference_nodes2) = run_reference(&stateful, &occs);
     assert_eq!(s2, u2);
-    assert_eq!(m2.shared_nodes, 0, "contexts must keep stateful ops apart");
-    assert_eq!(m2.plan_nodes, m2u.plan_nodes);
+    assert_eq!(
+        stats2.shared_nodes, 0,
+        "contexts must keep stateful ops apart"
+    );
+    assert_eq!(stats2.plan_nodes, reference_nodes2);
 }
 
 /// Duplicate definitions under one context are the extreme case: the
@@ -189,10 +246,11 @@ fn duplicate_definitions_add_no_plan_nodes() {
     let trace: Vec<(u64, u32, usize)> = (0..20)
         .map(|i| (100 + i * 120, (i % 4) as u32, (i % 2) as usize))
         .collect();
-    let (one, m_one) = run(3, true, true, 1, &picks_one, &trace);
-    let (two, m_two) = run(3, true, true, 1, &picks_two, &trace);
-    assert_eq!(m_one.plan_nodes, m_two.plan_nodes);
-    assert_eq!(m_two.shared_nodes, 1); // the one Seq node, bound twice
+    let occs = stamped(3, &trace);
+    let (one, stats_one) = run_plan(&picks_one, &occs, true);
+    let (two, stats_two) = run_plan(&picks_two, &occs, true);
+    assert_eq!(stats_one.plan_nodes, stats_two.plan_nodes);
+    assert_eq!(stats_two.shared_nodes, 1); // the one Seq node, bound twice
     assert!(!one.is_empty());
     // D1 mirrors D0 occurrence-for-occurrence.
     assert_eq!(two.len(), 2 * one.len());

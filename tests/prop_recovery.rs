@@ -4,12 +4,9 @@
 //! timestamps, same parameters, same canonical order) to a run that never
 //! crashed — and to a run with durability off entirely.
 //!
-//! 72 seeded runs: 6 seeds × the full config matrix
-//! {GC on/off} × {plan sharing on/off} × {workers 1/2/4}, each with its
-//! own kill point derived from the seed (different watermark phases,
-//! snapshot phases, and in-flight message populations at crash time).
-//! The same suite runs under `--features parallel`, where workers 2/4
-//! actually attach the shard pool.
+//! 12 seeded runs: 6 seeds × {GC on/off}, each with its own kill point
+//! derived from the seed (different watermark phases, snapshot phases,
+//! and in-flight message populations at crash time).
 //!
 //! Why equivalence holds — the argument the suite checks: the WAL records
 //! every input the coordinator *consumed in order* before its effects
@@ -41,23 +38,17 @@ fn scenario(seed: u64) -> Scenario {
         .unwrap()
 }
 
-/// The config matrix: every combination of the switches that change how
-/// much machinery sits between a released notification and a detection.
+/// The config matrix: operator-buffer GC on and off — the switch that
+/// changes how much machinery sits between a released notification and a
+/// detection.
 fn matrix() -> Vec<EngineConfig> {
-    let mut out = Vec::new();
-    for &buffer_gc in &[true, false] {
-        for &plan_sharing in &[true, false] {
-            for &worker_count in &[1usize, 2, 4] {
-                out.push(EngineConfig {
-                    buffer_gc,
-                    plan_sharing,
-                    worker_count,
-                    ..EngineConfig::default()
-                });
-            }
-        }
-    }
-    out
+    [true, false]
+        .into_iter()
+        .map(|buffer_gc| EngineConfig {
+            buffer_gc,
+            ..EngineConfig::default()
+        })
+        .collect()
 }
 
 fn defs() -> Vec<(&'static str, E, Context)> {

@@ -11,13 +11,12 @@
 //! loss is the spec, not a bug). Detections must be bit-for-bit identical:
 //! same composites, same composite timestamps, same canonical order.
 //!
-//! 72 schedules run across the three `rejoin_schedules_*` tests — 6 seeds
-//! × {buffer GC on/off} × {plan sharing on/off} × {workers 1/2/4} — so the
-//! equality holds across every coordinator execution mode. Each block also
-//! runs one fixed schedule, in every mode, that is known to exercise the
-//! incarnation-epoch filter: the victim's link is down across its restart,
-//! so its `Hello` is lost and new-incarnation traffic races ahead of the
-//! retransmitted copy.
+//! 12 schedules run across the three `rejoin_schedules_block*` tests — 6
+//! seeds × {buffer GC on/off} — so the equality holds in both coordinator
+//! execution modes. Each block also runs one fixed schedule, in both
+//! modes, that is known to exercise the incarnation-epoch filter: the
+//! victim's link is down across its restart, so its `Hello` is lost and
+//! new-incarnation traffic races ahead of the retransmitted copy.
 //!
 //! Two directed properties cover the eviction interaction:
 //! * an auto-evicted site that later rejoins un-pins its watermark, clears
@@ -37,29 +36,11 @@ const WORKLOAD_END_MS: u64 = 3_000;
 /// worst case) plus stabilization.
 const HORIZON_SECS: u64 = 20;
 
-/// {buffer GC} × {plan sharing} × {worker count}: every coordinator
-/// execution mode the equality must hold under.
-const CONFIGS: [(bool, bool, usize); 12] = [
-    (true, true, 1),
-    (true, true, 2),
-    (true, true, 4),
-    (true, false, 1),
-    (true, false, 2),
-    (true, false, 4),
-    (false, true, 1),
-    (false, true, 2),
-    (false, true, 4),
-    (false, false, 1),
-    (false, false, 2),
-    (false, false, 4),
-];
+/// Buffer GC on and off: the coordinator execution modes the equality
+/// must hold under.
+const CONFIGS: [bool; 2] = [true, false];
 
-fn engine(
-    seed: u64,
-    (gc, sharing, workers): (bool, bool, usize),
-    auto_evict: bool,
-    wal_dir: Option<&std::path::Path>,
-) -> Engine {
+fn engine(seed: u64, gc: bool, auto_evict: bool, wal_dir: Option<&std::path::Path>) -> Engine {
     let scenario = ScenarioBuilder::new(SITES, seed)
         .global_granularity(Granularity::per_second(10).unwrap())
         .max_offset_ns(1_000_000)
@@ -69,8 +50,6 @@ fn engine(
         &scenario,
         EngineConfig {
             buffer_gc: gc,
-            plan_sharing: sharing,
-            worker_count: workers,
             auto_evict,
             stall_intervals: if auto_evict { 10 } else { 50 },
             site_durability: wal_dir.is_some(),
@@ -125,7 +104,7 @@ fn wal_dir(tag: &str) -> std::path::PathBuf {
 
 /// One rejoin case. Returns (retransmits, epoch-filtered) for aggregate
 /// machinery assertions.
-fn rejoin_case(seed: u64, cfg: (bool, bool, usize)) -> (u64, u64) {
+fn rejoin_case(seed: u64, gc: bool) -> (u64, u64) {
     let mut rng = SplitMix64::new(seed ^ 0x7E70_1B5E);
     let w = workload(&mut rng);
     let victim = rng.next_below(u64::from(SITES)) as u32;
@@ -135,7 +114,7 @@ fn rejoin_case(seed: u64, cfg: (bool, bool, usize)) -> (u64, u64) {
     let restart_ms = rng.next_range(crash_ms + 500, 5_000);
     let t_crash = Nanos(crash_ms * 1_000_000 + 500_000);
     let t_restart = Nanos(restart_ms * 1_000_000 + 500_000);
-    run_schedule(seed, cfg, &w, victim, t_crash, t_restart, |faulty| {
+    run_schedule(seed, gc, &w, victim, t_crash, t_restart, |faulty| {
         for site in 0..SITES {
             let drop_ppm = rng.next_below(100_001) as u32; // ≤ 10%
             let dup_ppm = rng.next_below(50_001) as u32; // ≤ 5%
@@ -150,7 +129,9 @@ fn rejoin_case(seed: u64, cfg: (bool, bool, usize)) -> (u64, u64) {
 /// incarnation's heartbeats and its 2.15 s event reach the coordinator
 /// before the retransmission timer resends the `Hello`, so the coordinator
 /// must drop them by epoch (and the site must resend them after it).
-fn lost_hello_case(cfg: (bool, bool, usize)) -> (u64, u64) {
+/// `seed` is the scenario seed, outside the random schedules' 0..6 so the
+/// WAL directory is its own.
+fn lost_hello_case(seed: u64, gc: bool) -> (u64, u64) {
     let victim = 0u32;
     let w: Vec<(u64, u32, &'static str)> = vec![
         (500, 0, "A"),
@@ -164,8 +145,8 @@ fn lost_hello_case(cfg: (bool, bool, usize)) -> (u64, u64) {
         (2_900, 0, "B"),
     ];
     let (retransmits, filtered) = run_schedule(
-        6, // scenario seed, outside 0..6 so the WAL directory is its own
-        cfg,
+        seed,
+        gc,
         &w,
         victim,
         Nanos(1_500_500_000),
@@ -176,7 +157,7 @@ fn lost_hello_case(cfg: (bool, bool, usize)) -> (u64, u64) {
     );
     assert!(
         filtered > 0,
-        "cfg {cfg:?}: traffic ahead of the lost Hello was not epoch-filtered"
+        "gc={gc}: traffic ahead of the lost Hello was not epoch-filtered"
     );
     (retransmits, filtered)
 }
@@ -187,7 +168,7 @@ fn lost_hello_case(cfg: (bool, bool, usize)) -> (u64, u64) {
 /// invisible to detection. Returns (retransmits, epoch-filtered).
 fn run_schedule(
     seed: u64,
-    cfg: (bool, bool, usize),
+    gc: bool,
     w: &[(u64, u32, &'static str)],
     victim: u32,
     t_crash: Nanos,
@@ -204,14 +185,13 @@ fn run_schedule(
             !(site == victim && at >= t_crash && at < t_restart)
         })
         .collect();
-    let mut clean = engine(seed, cfg, false, None);
+    let mut clean = engine(seed, gc, false, None);
     inject_all(&mut clean, &clean_w);
     let clean_det = keys(clean.run_for(Nanos::from_secs(HORIZON_SECS)));
 
-    let (gc, sharing, workers) = cfg;
-    let dir = wal_dir(&format!("{seed}-{}{}{workers}", gc as u8, sharing as u8));
+    let dir = wal_dir(&format!("{seed}-{}", gc as u8));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut faulty = engine(seed, cfg, false, Some(&dir));
+    let mut faulty = engine(seed, gc, false, Some(&dir));
     faults(&mut faulty);
     faulty.crash_site(t_crash, victim);
     faulty.restart_site(t_restart, victim);
@@ -220,7 +200,7 @@ fn run_schedule(
 
     assert_eq!(
         clean_det, faulty_det,
-        "seed {seed} cfg {cfg:?}: crash/restart of site {victim} over \
+        "seed {seed} gc={gc}: crash/restart of site {victim} over \
          [{t_crash:?}, {t_restart:?}) must be invisible to detection"
     );
     let m = faulty.metrics();
@@ -243,16 +223,18 @@ fn run_schedule(
     (m.retransmits, m.epoch_filtered)
 }
 
-fn run_block(configs: &[(bool, bool, usize)]) {
+/// Block `b`: random schedules for seeds `2b` and `2b + 1`, plus the
+/// fixed lost-`Hello` schedule, each in both modes.
+fn run_block(b: u64) {
     let mut retransmits = 0;
     let mut filtered = 0;
-    for &cfg in configs {
-        for seed in 0..6u64 {
-            let (r, f) = rejoin_case(seed, cfg);
+    for gc in CONFIGS {
+        for seed in 2 * b..2 * b + 2 {
+            let (r, f) = rejoin_case(seed, gc);
             retransmits += r;
             filtered += f;
         }
-        let (r, f) = lost_hello_case(cfg);
+        let (r, f) = lost_hello_case(6 + b, gc);
         retransmits += r;
         filtered += f;
     }
@@ -264,18 +246,18 @@ fn run_block(configs: &[(bool, bool, usize)]) {
 }
 
 #[test]
-fn rejoin_schedules_workers1_match_filtered_fault_free() {
-    run_block(&CONFIGS[..4]);
+fn rejoin_schedules_block0_match_filtered_fault_free() {
+    run_block(0);
 }
 
 #[test]
-fn rejoin_schedules_workers2_match_filtered_fault_free() {
-    run_block(&CONFIGS[4..8]);
+fn rejoin_schedules_block1_match_filtered_fault_free() {
+    run_block(1);
 }
 
 #[test]
-fn rejoin_schedules_workers4_match_filtered_fault_free() {
-    run_block(&CONFIGS[8..]);
+fn rejoin_schedules_block2_match_filtered_fault_free() {
+    run_block(2);
 }
 
 #[test]
@@ -301,14 +283,14 @@ fn auto_evicted_site_rejoins_unpins_watermark_and_detection_resumes() {
             .filter(|&(ms, _, _)| ms != 3_000)
             .collect();
 
-        let cfg = (true, true, 1);
-        let mut clean = engine(seed, cfg, true, None);
+        let gc = true;
+        let mut clean = engine(seed, gc, true, None);
         inject_all(&mut clean, &clean_w);
         let clean_det = keys(clean.run_for(Nanos::from_secs(HORIZON_SECS)));
 
         let dir = wal_dir(&format!("evict-{seed}"));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut faulty = engine(seed, cfg, true, Some(&dir));
+        let mut faulty = engine(seed, gc, true, Some(&dir));
         faulty.crash_site(Nanos(1_200_500_000), victim);
         faulty.restart_site(Nanos(5_000_500_000), victim);
         inject_all(&mut faulty, &w);
@@ -343,10 +325,10 @@ fn evicted_backlog_arriving_after_its_release_slot_is_refused_as_stale() {
     // coordinator must refuse the resurrected event — releasing it would
     // violate the canonical order every other consumer already observed.
     let victim = 0u32;
-    let cfg = (true, true, 1);
+    let gc = true;
     let dir = wal_dir("stale-backlog");
     let _ = std::fs::remove_dir_all(&dir);
-    let mut e = engine(11, cfg, true, Some(&dir));
+    let mut e = engine(11, gc, true, Some(&dir));
     // Strand A: the victim's link is dead when A is injected at 1 s, so A
     // sits unacked in the WAL when the site crashes at 1.2 s.
     e.partition_site(victim, Nanos(800_000_000), Nanos(2_000_000_000));

@@ -10,19 +10,16 @@
 //!    bands, and `site_mask` bit collisions (site spans > 64 wrap the
 //!    64-bit mask).
 //! 2. **End-to-end** — a stream of wide-stamped occurrences detects
-//!    identically through both detector backends (the independent
-//!    sharded graphs and the hash-consed shared plan), across all five
-//!    parameter contexts at once (one definition per context, spanning
-//!    SEQ's banded buffer, ANY's m-of-n join and NOT's guard checks),
-//!    with watermark GC on or off, serial or under a worker pool of
-//!    1/2/4 threads (the `parallel` feature; ignored — and still exact —
-//!    without it), and identically on the plain mono graph with and
-//!    without GC.
+//!    identically through the hash-consed shared plan, with watermark GC
+//!    on and off, and through the GC-free reference interpreter (one
+//!    independent graph per definition) — same detections, same order —
+//!    across all five parameter contexts at once (one definition per
+//!    context, spanning SEQ's banded buffer, ANY's m-of-n join and NOT's
+//!    guard checks).
 
 use decs::core::{cts, max_op, max_op_naive, CompositeTimestamp};
 use decs::snoop::{
-    AnyDetector, Context, Detector, EventExpr as E, Occurrence, PlanDetector, ShardedDetector,
-    Value,
+    Context, EventExpr as E, Occurrence, PlanDetector, ReferenceDetector, ShardFeedResult, Value,
 };
 use decs_testkit::{check, pick, vec_of, SplitMix64};
 
@@ -215,43 +212,10 @@ fn keyed(cat: &decs::snoop::Catalog, detected: Vec<Occurrence<CompositeTimestamp
         .collect()
 }
 
-/// Run the trace through an [`AnyDetector`] backend, optionally advancing
-/// the watermark after every feed (GC) and optionally under a pool.
-fn run_any(sharded: bool, gc: bool, workers: usize, rows: &[Row]) -> Detections {
-    let mut d: AnyDetector<CompositeTimestamp> = if sharded {
-        ShardedDetector::new().into()
-    } else {
-        PlanDetector::new().into()
-    };
-    define_all(
-        |d, n| {
-            d.register(n).unwrap();
-        },
-        |d, n, e, c| {
-            d.define(n, e, c).unwrap();
-        },
-        &mut d,
-    );
-    if workers > 1 {
-        #[cfg(feature = "parallel")]
-        d.enable_pool_exact(workers);
-    }
-    let rows = occurrences(d.catalog(), rows);
-    let mut out = Vec::new();
-    for (occ, band) in rows {
-        let r = d.feed(occ);
-        assert!(r.timers.is_empty(), "definitions are timer-free");
-        out.extend(keyed(d.catalog(), r.detected));
-        if gc {
-            d.advance_watermark(band);
-        }
-    }
-    out
-}
-
-/// Run the trace through the plain mono graph ([`Detector`]).
-fn run_mono(gc: bool, rows: &[Row]) -> Detections {
-    let mut d: Detector<CompositeTimestamp> = Detector::new();
+/// Run the trace through the shared plan, optionally advancing the
+/// watermark after every feed (GC).
+fn run_plan(gc: bool, rows: &[Row]) -> Detections {
+    let mut d: PlanDetector<CompositeTimestamp> = PlanDetector::new();
     define_all(
         |d, n| {
             d.register(n).unwrap();
@@ -265,8 +229,7 @@ fn run_mono(gc: bool, rows: &[Row]) -> Detections {
     let mut out = Vec::new();
     for (occ, band) in rows {
         let r = d.feed(occ);
-        assert!(r.timers.is_empty(), "definitions are timer-free");
-        out.extend(keyed(d.catalog(), r.detected));
+        out.extend(timer_free(d.catalog(), r));
         if gc {
             d.advance_watermark(band);
         }
@@ -274,9 +237,35 @@ fn run_mono(gc: bool, rows: &[Row]) -> Detections {
     out
 }
 
-/// Wide-stamp streams detect identically through both backends, with GC
-/// on or off, at every worker count — and GC never changes what the mono
-/// graph detects either.
+/// Run the trace through the GC-free reference interpreter.
+fn run_reference(rows: &[Row]) -> Detections {
+    let mut d: ReferenceDetector<CompositeTimestamp> = ReferenceDetector::new();
+    define_all(
+        |d, n| {
+            d.register(n).unwrap();
+        },
+        |d, n, e, c| {
+            d.define(n, e, c).unwrap();
+        },
+        &mut d,
+    );
+    let rows = occurrences(d.catalog(), rows);
+    let mut out = Vec::new();
+    for (occ, _) in rows {
+        let r = d.feed(occ);
+        out.extend(timer_free(d.catalog(), r));
+    }
+    out
+}
+
+/// The keyed detections of one feed, which must arm no timer.
+fn timer_free(cat: &decs::snoop::Catalog, r: ShardFeedResult<CompositeTimestamp>) -> Detections {
+    assert!(r.timers.is_empty(), "definitions are timer-free");
+    keyed(cat, r.detected)
+}
+
+/// Wide-stamp streams detect identically through the plan, with GC on
+/// and off, and through the reference — same detections, same order.
 #[test]
 fn wide_stamp_detections_identical_across_backends() {
     check(
@@ -285,26 +274,18 @@ fn wide_stamp_detections_identical_across_backends() {
         |rng| {
             let rows = trace(rng);
             let gc = pick(rng, &[false, true]);
-            let workers = pick(rng, &[1usize, 2, 4]);
-            let sharded = run_any(true, gc, workers, &rows);
-            let plan = run_any(false, gc, workers, &rows);
+            let reference = run_reference(&rows);
             assert_eq!(
-                &sharded, &plan,
-                "sharded vs plan, gc={gc} workers={workers}"
+                &run_plan(gc, &rows),
+                &reference,
+                "plan vs reference, gc={gc}"
             );
-            let mono_plain = run_mono(false, &rows);
-            let mono_gc = run_mono(true, &rows);
-            assert_eq!(&mono_plain, &mono_gc, "mono gc equivalence");
-            // Backend families may order same-feed detections differently,
-            // but never detect different *multisets* of occurrences.
-            let mut a = sharded;
-            let mut b = mono_plain;
-            let key = |(n, t, p): &(String, CompositeTimestamp, decs::snoop::ParamList)| {
-                format!("{n}|{t:?}|{p:?}")
-            };
-            a.sort_by_key(&key);
-            b.sort_by_key(&key);
-            assert_eq!(&a, &b, "sharded vs mono detection multisets");
+            assert_eq!(
+                &run_plan(!gc, &rows),
+                &reference,
+                "plan vs reference, gc={}",
+                !gc
+            );
         },
     );
 }
