@@ -62,4 +62,25 @@ cargo run --offline --release -p decs-bench --bin partition -- --smoke
 # below 5x).
 cargo run --offline --release -p decs-bench --bin timewidth -- --smoke
 
+# Benchmark goldens: build the end-to-end benchmark offline into
+# target/perfbench, check that its golden fingerprints reproduce the
+# committed perfbench/expected.json, and run every workload once. Each run
+# checks its detections against the golden fingerprint and, for `lossy`
+# and `partitioned`, against the lossless and the N = 1 engine; a failed
+# check exits nonzero. Building rewrites perfbench/Cargo.lock (its unused
+# stub patches drop out), so the committed lockfile is put back after.
+cp perfbench/Cargo.lock target/perfbench-Cargo.lock
+built=0
+CARGO_TARGET_DIR=target/perfbench cargo build --offline --release --quiet \
+    --manifest-path perfbench/Cargo.toml && built=1
+mv target/perfbench-Cargo.lock perfbench/Cargo.lock
+[ "$built" = 1 ]
+perfbench=target/perfbench/release/perfbench
+"$perfbench" --golden | diff - perfbench/expected.json
+for workload in shared_plan lossy partitioned; do
+    "$perfbench" --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+        --scratch target/perfbench/scratch --expected perfbench/expected.json >/dev/null
+done
+rm -rf target/perfbench/scratch
+
 echo "ci.sh: all tier-1 checks passed"

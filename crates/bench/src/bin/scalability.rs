@@ -159,7 +159,7 @@ fn main() {
 
 fn transport(batch_ms: u64) -> String {
     if batch_ms == 0 {
-        "per-event (Msg::Event + Msg::Heartbeat)".to_string()
+        "per-event (Msg::Event + empty Msg::Batch heartbeats)".to_string()
     } else {
         format!("batched (Msg::Batch every {batch_ms} ms)")
     }

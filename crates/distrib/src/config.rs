@@ -20,14 +20,16 @@ pub enum ReleasePolicy {
 /// Tunables of the distributed detection engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// How often each site heartbeats its watermark.
+    /// How often each per-event site beacons its watermark: an empty
+    /// `Msg::Batch` (an empty `Msg::Routed` on each link to a replica).
     pub heartbeat_interval: Nanos,
     /// How often each site flushes its coalesced notification batch.
     /// `Nanos::ZERO` (the default) disables batching: every occurrence is
-    /// sent as its own `Msg::Event` and watermarks travel as separate
-    /// `Msg::Heartbeat`s. Any positive interval switches the site to
-    /// `Msg::Batch` (which carries the watermark, so heartbeats are
-    /// subsumed). Detections are identical either way.
+    /// sent as its own `Msg::Event` and the watermark travels on an empty
+    /// `Msg::Batch` every heartbeat interval. Any positive interval
+    /// switches the site to coalescing: each flush carries the watermark,
+    /// so the batch interval replaces the heartbeat interval. Detections
+    /// are identical either way.
     pub batch_interval: Nanos,
     /// Capacity of the simulation trace (0 disables tracing).
     pub trace_capacity: usize,
@@ -39,29 +41,15 @@ pub struct EngineConfig {
     /// this only trades a little release-round work for bounded memory on
     /// long runs. On by default; the off switch exists for ablation.
     pub buffer_gc: bool,
-    /// Base retransmission timeout for unacked site→coordinator messages.
-    /// `Nanos::ZERO` disables the ack/retransmit protocol (fire-and-forget,
-    /// for lossless links or ablation).
-    pub retransmit_timeout: Nanos,
-    /// Cap on the exponential retransmission backoff. Retries continue at
-    /// the cap forever, so any partition that heals is eventually crossed.
-    pub retransmit_cap: Nanos,
-    /// How often the coordinator sends periodic cumulative acks (repairing
-    /// acks lost on the return path) and runs the stall detector.
-    /// `Nanos::ZERO` disables both.
-    pub ack_interval: Nanos,
     /// Stall detector threshold: a site is marked *suspect* after its
     /// watermark fails to advance for this many consecutive ack intervals
-    /// while some other site's does. `0` disables stall detection.
+    /// (100 ms each) while some other site's does. `0` disables stall
+    /// detection.
     pub stall_intervals: u64,
     /// Escalate suspect sites to eviction automatically. Off by default:
     /// eviction sacrifices completeness (composites needing the evicted
     /// site's events are suppressed), so it is an explicit opt-in.
     pub auto_evict: bool,
-    /// Bound on each site's parked (out-of-order) reassembly buffer;
-    /// overflow discards the highest-sequence parked message (recovered by
-    /// retransmission). `0` means unbounded.
-    pub parked_cap: usize,
     /// Persist a write-ahead log of delivered notifications plus periodic
     /// operator-state snapshots, so a crashed coordinator can be rebuilt
     /// and resumed (`Engine::crash_and_recover_coordinator`). Requires
@@ -96,7 +84,8 @@ pub struct EngineConfig {
     /// events are forwarded replica → replica as first-class primitive
     /// events. Detections are bit-for-bit identical to `1` (see
     /// `tests/prop_partition.rs`); incompatible with
-    /// [`EngineConfig::site_durability`].
+    /// [`EngineConfig::site_durability`]. At most 64 (replica peer sets
+    /// are `u64` bitmasks).
     pub coordinator_replicas: usize,
 }
 
@@ -110,17 +99,10 @@ impl Default for EngineConfig {
             trace_capacity: 0,
             release_policy: ReleasePolicy::Stable,
             buffer_gc: true,
-            // Reliability on by default: a 200 ms base timeout sits far
-            // above LAN/WAN round trips (no spurious retransmits on a
-            // healthy link — and a spurious copy is just deduped anyway).
-            retransmit_timeout: Nanos::from_millis(200),
-            retransmit_cap: Nanos::from_millis(3_200),
-            ack_interval: Nanos::from_millis(100),
             // 50 × 100 ms = 5 s of one-sided watermark silence before a
             // site is suspected.
             stall_intervals: 50,
             auto_evict: false,
-            parked_cap: 4096,
             durability: false,
             snapshot_interval: 8,
             wal_dir: None,

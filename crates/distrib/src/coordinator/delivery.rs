@@ -68,11 +68,6 @@ impl CoordinatorNode {
                     self.accept_notification(site, occ, ctx);
                 }
             }
-            Msg::Heartbeat { watermark, .. } => {
-                self.metrics.heartbeats_received += 1;
-                self.tracker.update(site, watermark);
-                self.release_round(ctx);
-            }
             Msg::Batch {
                 watermark, events, ..
             } => {
@@ -167,18 +162,6 @@ impl CoordinatorNode {
         }
     }
 
-    pub(super) fn seq_of(msg: &Msg) -> Option<u64> {
-        match msg {
-            Msg::Event { seq, .. }
-            | Msg::Heartbeat { seq, .. }
-            | Msg::Batch { seq, .. }
-            | Msg::Hello { seq, .. }
-            | Msg::Routed { seq, .. }
-            | Msg::Relay { seq, .. } => Some(*seq),
-            _ => None,
-        }
-    }
-
     /// Whether a sequence-numbered message from node `site` fits this
     /// deployment: the sender owns a reassembly stream here; a classic
     /// coordinator takes no replica traffic (`Relay`, `Routed`); in a
@@ -205,7 +188,6 @@ impl CoordinatorNode {
     pub(super) fn epoch_of(msg: &Msg) -> Option<u64> {
         match msg {
             Msg::Event { epoch, .. }
-            | Msg::Heartbeat { epoch, .. }
             | Msg::Batch { epoch, .. }
             | Msg::Hello { epoch, .. }
             | Msg::Routed { epoch, .. } => Some(*epoch),
@@ -415,7 +397,7 @@ impl CoordinatorNode {
                 return;
             }
         }
-        let Some(seq) = Self::seq_of(&msg) else {
+        let Some(seq) = msg.seq() else {
             return; // Inject/Ack echoes are not coordinator traffic
         };
         if !self.fits_stream(site, &msg) {
@@ -561,14 +543,15 @@ mod tests {
         c
     }
 
-    /// Deliver heartbeat `seq` from site 0 and return the acks it caused
-    /// as `(cum_seq, sack)` pairs.
+    /// Deliver heartbeat (empty batch) `seq` from site 0 and return the
+    /// acks it caused as `(cum_seq, sack)` pairs.
     fn deliver(c: &mut CoordinatorNode, seq: u64) -> Vec<(u64, Vec<(u64, u64)>)> {
         let mut ctx = Sent::default();
-        let hb = Msg::Heartbeat {
+        let hb = Msg::Batch {
             seq,
             epoch: 0,
             watermark: 0,
+            events: Arc::new(Vec::new()),
         };
         c.deliver(NodeIdx(0), hb, &mut ctx);
         ctx.0
@@ -662,10 +645,11 @@ mod tests {
     }
 
     fn heartbeat(watermark: u64) -> Msg {
-        Msg::Heartbeat {
+        Msg::Batch {
             seq: 0,
             epoch: 0,
             watermark,
+            events: Arc::new(Vec::new()),
         }
     }
 

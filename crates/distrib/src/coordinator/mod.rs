@@ -1,8 +1,9 @@
 //! The coordinator (global event detector).
 //!
 //! Receives stamped primitive-event notifications and watermarks from
-//! every site — either per-event (`Msg::Event` + `Msg::Heartbeat`) or
-//! coalesced into `Msg::Batch`es — reassembles each site's FIFO stream,
+//! every site — either per-event (`Msg::Event`s, with the watermark on a
+//! periodic empty `Msg::Batch`) or coalesced into `Msg::Batch`es —
+//! reassembles each site's FIFO stream,
 //! buffers notifications until the watermark stability rule releases them,
 //! drains the stable prefix in watermark-bounded batches into the
 //! hash-consed shared-plan [`PlanDetector`] in a canonical order, and
@@ -99,6 +100,15 @@ pub(crate) const ACK_TIMER_TAG: u64 = u64::MAX;
 /// Timer tag reserved for the periodic replica → replica relay
 /// retransmission round (partitioned deployments only).
 pub(crate) const RELAY_RETX_TAG: u64 = u64::MAX - 1;
+
+/// Period of a deployed engine's coordinator ack/stall-check round:
+/// periodic cumulative acks repair acks lost on the return path.
+pub(crate) const ACK_INTERVAL: Nanos = Nanos::from_millis(100);
+
+/// Bound on each stream's parked (out-of-order) reassembly buffer in a
+/// deployed engine; overflow discards the highest-sequence parked message
+/// (recovered by retransmission).
+pub(crate) const PARKED_CAP: usize = 4096;
 
 #[derive(Debug, Default)]
 pub(crate) struct SiteStream {
@@ -414,11 +424,13 @@ mod tests {
         }
     }
 
+    /// A heartbeat: an empty batch.
     fn hb(seq: u64, w: u64) -> Msg {
-        Msg::Heartbeat {
+        Msg::Batch {
             seq,
             epoch: 0,
             watermark: w,
+            events: std::sync::Arc::new(Vec::new()),
         }
     }
 
@@ -518,7 +530,7 @@ mod tests {
         assert_eq!(c.metrics.events_released, 2);
         assert_eq!(c.metrics.release_batches, 1);
         assert_eq!(c.metrics.messages_processed, 2);
-        assert_eq!(c.metrics.heartbeats_received, 0);
+        assert_eq!(c.metrics.batches_received, 2);
         assert_eq!(c.metrics.shard_count, 1);
     }
 
@@ -568,10 +580,11 @@ mod tests {
         sim.inject(
             Nanos(60),
             n,
-            Msg::Heartbeat {
+            Msg::Batch {
                 seq: 2,
                 epoch: 1,
                 watermark: 9,
+                events: std::sync::Arc::new(Vec::new()),
             },
         );
         sim.run_to_completion();

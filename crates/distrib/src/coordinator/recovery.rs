@@ -250,7 +250,7 @@ impl CoordinatorNode {
                         "WAL names an unknown site",
                     ));
                 }
-                let Some(seq) = Self::seq_of(&msg) else {
+                let Some(seq) = msg.seq() else {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "WAL Delivered carries an unsequenced message",

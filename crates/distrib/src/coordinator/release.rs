@@ -39,17 +39,15 @@ impl CoordinatorNode {
     }
 
     /// Drain the stable prefix of the buffer in one watermark-bounded
-    /// batch: collect every released notification first (the buffer walk
-    /// is cheap and canonical), then feed them as a single **columnar**
-    /// batch — types, stamps and parameter handles staged
-    /// struct-of-arrays in the reusable [`decs_snoop::EventBatch`],
-    /// materialized only for routed types at delivery. The parameter
+    /// batch: every released notification is staged, in canonical order,
+    /// into the reusable **columnar** [`decs_snoop::EventBatch`] — types,
+    /// stamps and parameter handles struct-of-arrays, materialized only
+    /// for routed types at delivery — and fed in one call. The parameter
     /// lists ride as `Arc` bumps; re-minted occurrence uids are fresh
     /// either way.
     pub(super) fn release_stable(&mut self, ctx: &mut impl CoordCtx) {
-        let columnar = self.reportable.is_empty();
         debug_assert!(self.ingest.is_empty(), "staging batch left dirty");
-        let mut batch = Vec::new();
+        let mut released = false;
         while let Some((&key, _)) = self.buffer.iter().next() {
             if !self.tracker.is_stable(key.0) {
                 break;
@@ -59,35 +57,49 @@ impl CoordinatorNode {
             self.metrics.events_released += 1;
             self.metrics.stability_latency_sum_ns +=
                 u128::from(ctx.true_now().get().saturating_sub(arrived.get()));
-            if columnar {
-                self.ingest.push_list(occ.ty, occ.time, occ.params);
-            } else {
-                batch.push(occ);
-            }
+            self.stage_released(occ, ctx);
+            released = true;
         }
-        if !self.ingest.is_empty() {
+        if released {
             self.metrics.release_batches += 1;
-            self.metrics.batch_ingest_events += self.ingest.len() as u64;
-            self.metrics.arena_bytes = self
-                .metrics
-                .arena_bytes
-                .max(self.ingest.arena_bytes() as u64);
-            let r = self.detector.feed_batch_columnar(&self.ingest);
-            self.ingest.clear();
-            self.absorb(r, ctx);
-        } else if !batch.is_empty() {
-            self.metrics.release_batches += 1;
-            // Site-local composite arrivals are reported interleaved
-            // with the global graph's own detections, so keep the
-            // per-event feed order observable.
-            for occ in batch {
-                self.feed_released(occ, ctx);
-            }
         }
+        self.feed_staged(ctx);
         self.gc_operator_buffers();
         // End of a release round is the quiescent point: the detector has
         // no half-processed batch, and GC has just refreshed occupancy.
         self.maybe_snapshot();
+    }
+
+    /// Stage a released notification for the next columnar feed. A
+    /// site-local composite detection is reported in its own right first,
+    /// after everything staged before it has been fed — so each arrival is
+    /// reported between its neighbours' detections, exactly where feeding
+    /// one event at a time would put it.
+    fn stage_released(&mut self, occ: Occurrence<CompositeTimestamp>, ctx: &mut impl CoordCtx) {
+        if self.reportable.contains(&occ.ty) {
+            self.feed_staged(ctx);
+            self.metrics.detections += 1;
+            self.detections.push(RawDetection {
+                occ: occ.clone(),
+                detected_at: ctx.true_now(),
+            });
+        }
+        self.ingest.push_list(occ.ty, occ.time, occ.params);
+    }
+
+    /// Feed the staged columnar batch, if any, into the detector.
+    fn feed_staged(&mut self, ctx: &mut impl CoordCtx) {
+        if self.ingest.is_empty() {
+            return;
+        }
+        self.metrics.batch_ingest_events += self.ingest.len() as u64;
+        self.metrics.arena_bytes = self
+            .metrics
+            .arena_bytes
+            .max(self.ingest.arena_bytes() as u64);
+        let r = self.detector.feed_batch_columnar(&self.ingest);
+        self.ingest.clear();
+        self.absorb(r, ctx);
     }
 
     /// Let the detector's operator nodes reclaim buffered state the
@@ -118,24 +130,6 @@ impl CoordinatorNode {
             .metrics
             .node_buffer_peak
             .max(self.metrics.node_buffered);
-    }
-
-    /// Feed a released notification: report it if it is itself a
-    /// site-local composite detection, then run the global graph.
-    pub(super) fn feed_released(
-        &mut self,
-        occ: Occurrence<CompositeTimestamp>,
-        ctx: &mut impl CoordCtx,
-    ) {
-        if self.reportable.contains(&occ.ty) {
-            self.metrics.detections += 1;
-            self.detections.push(RawDetection {
-                occ: occ.clone(),
-                detected_at: ctx.true_now(),
-            });
-        }
-        let r = self.detector.feed(occ);
-        self.absorb(r, ctx);
     }
 
     /// Buffer (or, under `Immediate`, directly feed) one reassembled
@@ -170,7 +164,8 @@ impl CoordinatorNode {
             ReleasePolicy::Immediate => {
                 self.metrics.events_received += 1;
                 self.metrics.events_released += 1;
-                self.feed_released(occ, ctx);
+                self.stage_released(occ, ctx);
+                self.feed_staged(ctx);
             }
         }
     }

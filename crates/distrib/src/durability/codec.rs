@@ -558,16 +558,6 @@ impl Encode for Msg {
                 epoch.encode(out);
                 occ.encode(out);
             }
-            Msg::Heartbeat {
-                seq,
-                epoch,
-                watermark,
-            } => {
-                out.push(3);
-                seq.encode(out);
-                epoch.encode(out);
-                watermark.encode(out);
-            }
             Msg::Batch {
                 seq,
                 epoch,
@@ -643,11 +633,6 @@ impl Decode for Msg {
                 seq: r.u64()?,
                 epoch: r.u64()?,
                 occ: Occurrence::decode(r)?,
-            }),
-            3 => Ok(Msg::Heartbeat {
-                seq: r.u64()?,
-                epoch: r.u64()?,
-                watermark: r.u64()?,
             }),
             4 => Ok(Msg::Batch {
                 seq: r.u64()?,
@@ -748,7 +733,6 @@ impl Decode for PlanState<CompositeTimestamp> {
 impl Encode for Metrics {
     fn encode(&self, out: &mut Vec<u8>) {
         self.events_received.encode(out);
-        self.heartbeats_received.encode(out);
         self.events_released.encode(out);
         self.detections.encode(out);
         self.reassembly_parks.encode(out);
@@ -803,7 +787,6 @@ impl Decode for Metrics {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Metrics {
             events_received: r.u64()?,
-            heartbeats_received: r.u64()?,
             events_released: r.u64()?,
             detections: r.u64()?,
             reassembly_parks: r.u64()?,
@@ -946,11 +929,6 @@ mod tests {
                 epoch: 1,
                 occ: Occurrence::bare(EventId(0), cts(&[(2, 7, 70)])),
             },
-            Msg::Heartbeat {
-                seq: 10,
-                epoch: 0,
-                watermark: 8,
-            },
             Msg::Batch {
                 seq: 11,
                 epoch: 2,
@@ -1064,7 +1042,7 @@ mod tests {
             Err(CodecError::Invalid(_))
         ));
         // Truncation anywhere is an Eof, not a panic.
-        let full = to_bytes(&Msg::Heartbeat {
+        let full = to_bytes(&Msg::Hello {
             seq: 1,
             epoch: 0,
             watermark: 2,
@@ -1079,6 +1057,18 @@ mod tests {
             from_bytes::<u64>(&extra),
             Err(CodecError::Invalid("trailing bytes after value"))
         );
+    }
+
+    #[test]
+    fn retired_heartbeat_tag_is_refused() {
+        // Tag 3 was the separate heartbeat frame; a heartbeat is now an
+        // empty `Msg::Batch` (tag 4). A well-formed old heartbeat body
+        // behind tag 3 decodes to nothing.
+        let mut old = vec![3];
+        for field in [1u64, 0, 2] {
+            field.encode(&mut old);
+        }
+        assert_eq!(from_bytes::<Msg>(&old), Err(CodecError::Invalid("Msg tag")));
     }
 
     #[test]

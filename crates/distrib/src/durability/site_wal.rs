@@ -127,13 +127,9 @@ pub fn fold_records(records: &[SiteWalRecord]) -> SiteWalState {
         match rec {
             SiteWalRecord::Epoch { epoch } => st.epoch = st.epoch.max(*epoch),
             SiteWalRecord::Sent { msg } => {
-                let seq = match msg {
-                    Msg::Event { seq, .. }
-                    | Msg::Heartbeat { seq, .. }
-                    | Msg::Batch { seq, .. }
-                    | Msg::Hello { seq, .. } => *seq,
-                    // Only sequence-numbered messages are ever logged.
-                    _ => continue,
+                // Only sequence-numbered messages are ever logged.
+                let Some(seq) = msg.seq() else {
+                    continue;
                 };
                 st.next_seq = st.next_seq.max(seq + 1);
                 if matches!(msg, Msg::Batch { .. }) {

@@ -10,15 +10,22 @@
 use crate::config::EngineConfig;
 use crate::coordinator::compile;
 use crate::coordinator::partition::{coarse, PartKey, PartitionState};
-use crate::coordinator::{CoordinatorNode, RawDetection};
+use crate::coordinator::{CoordinatorNode, RawDetection, ACK_INTERVAL, PARKED_CAP};
 use crate::metrics::Metrics;
 use crate::protocol::{Msg, PlanePos};
-use crate::site::{LocalDetection, SiteNode};
+use crate::site::{LocalDetection, SiteNode, RETRANSMIT_CAP, RETRANSMIT_TIMEOUT};
 use decs_chronos::Nanos;
 use decs_core::CompositeTimestamp;
 use decs_simnet::{Actor, Ctx, LinkConfig, NodeIdx, Scenario, Simulation};
-use decs_snoop::{Context, EventExpr, Occurrence, PlanDetector, Result, SnoopError, Value};
+use decs_snoop::{
+    Context, EventExpr, EventId, Occurrence, PlanDetector, Result, SnoopError, Value,
+};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+/// Most coordinator replicas a partitioned plane can have: peer sets
+/// (`reach`, `can_reach`, the release gaters, forwarding targets) are
+/// `u64` bitmasks over replica indices.
+const MAX_REPLICAS: usize = 64;
 
 /// Either role in the star topology.
 #[derive(Debug)]
@@ -85,7 +92,6 @@ pub struct Engine {
     /// as construction did and restores only the buffered state into it.
     config: EngineConfig,
     gg_nanos: u64,
-    release_policy: crate::config::ReleasePolicy,
     primitives: Vec<String>,
     local_defs: Vec<(String, EventExpr, Context)>,
     global_defs: Vec<(String, EventExpr, Context)>,
@@ -250,6 +256,29 @@ fn plan_partition(
     }
 }
 
+/// Build one coordinator node over `n_sites` sites — the classic
+/// coordinator, a replica, or a recovered replacement — with the
+/// configured release policy, buffer GC and stall detection, the deployed
+/// ack and parked-buffer constants, and `reportable` arrival types.
+fn coordinator_node(
+    config: &EngineConfig,
+    n_sites: usize,
+    detector: PlanDetector<CompositeTimestamp>,
+    gg_nanos: u64,
+    reportable: impl IntoIterator<Item = EventId>,
+) -> CoordinatorNode {
+    let mut node = CoordinatorNode::with_policy(n_sites, detector, gg_nanos, config.release_policy);
+    node.set_buffer_gc(config.buffer_gc);
+    node.set_reportable(reportable);
+    node.set_fault_tolerance(
+        ACK_INTERVAL,
+        config.stall_intervals,
+        config.auto_evict,
+        PARKED_CAP,
+    );
+    node
+}
+
 impl Engine {
     /// Build an engine over `scenario` (its sites become leaf sites; one
     /// extra site is created for the coordinator). `primitives` are the
@@ -309,10 +338,10 @@ impl Engine {
                     "coordinator_replicas > 1 requires ReleasePolicy::Stable".to_string(),
                 ));
             }
-            if replicas > 13 {
-                return Err(SnoopError::SnapshotMismatch(
-                    "coordinator_replicas is limited to 13 (site timer-tag space)".to_string(),
-                ));
+            if replicas > MAX_REPLICAS {
+                return Err(SnoopError::SnapshotMismatch(format!(
+                    "coordinator_replicas is limited to {MAX_REPLICAS} (u64 replica masks)"
+                )));
             }
         }
         let layout = if replicas > 1 {
@@ -356,12 +385,11 @@ impl Engine {
             };
             let mut site_node = site_node
                 .with_batching(config.batch_interval)
-                .with_reliability(config.retransmit_timeout, config.retransmit_cap);
+                .with_reliability(RETRANSMIT_TIMEOUT, RETRANSMIT_CAP);
             if let Some(layout) = &layout {
-                // Partitioned plane: independent sequence-numbered uplinks
-                // to every replica, each carrying only the types that
-                // replica's definitions subscribe to.
-                site_node = site_node.with_uplinks(coordinators.clone(), layout.routes.clone());
+                // Partitioned plane: one link per replica, each carrying
+                // only the types that replica's definitions subscribe to.
+                site_node = site_node.with_replicas(coordinators.clone(), layout.routes.clone());
             }
             if let Some(seed) = config.retransmit_jitter_seed {
                 // Independent per-site streams: golden-ratio stride keeps
@@ -390,20 +418,12 @@ impl Engine {
                     decs_chronos::LocalClock::perfect(scenario.local_granularity),
                     scenario.base,
                 );
-                let mut coordinator_node = CoordinatorNode::with_policy(
+                let mut coordinator_node = coordinator_node(
+                    &config,
                     n as usize,
                     detector,
                     gg_nanos,
-                    config.release_policy,
-                );
-                coordinator_node.set_buffer_gc(config.buffer_gc);
-                coordinator_node
-                    .set_reportable(local_definitions.iter().map(|(name, _, _)| name_ids[*name]));
-                coordinator_node.set_fault_tolerance(
-                    config.ack_interval,
-                    config.stall_intervals,
-                    config.auto_evict,
-                    config.parked_cap,
+                    local_defs.iter().map(|(name, _, _)| name_ids[name]),
                 );
                 if config.durability {
                     if let Some(dir) = &config.wal_dir {
@@ -466,7 +486,6 @@ impl Engine {
             pending: BTreeMap::new(),
             names,
             name_ids,
-            release_policy: config.release_policy,
             config,
             gg_nanos,
             primitives: primitives_owned,
@@ -497,19 +516,8 @@ impl Engine {
             .map(|(_, d)| d.clone())
             .collect();
         let plan = compile::build_replica_detector(names, &layout.inputs[r], &owned)?;
-        let mut node = CoordinatorNode::with_policy(
-            n_sites,
-            plan.detector,
-            gg_nanos,
-            crate::config::ReleasePolicy::Stable,
-        );
-        node.set_buffer_gc(config.buffer_gc);
-        node.set_fault_tolerance(
-            config.ack_interval,
-            config.stall_intervals,
-            config.auto_evict,
-            config.parked_cap,
-        );
+        // Replicas run `Stable` only: `Engine::new` refuses `Immediate`.
+        let mut node = coordinator_node(config, n_sites, plan.detector, gg_nanos, []);
         let gaters = (0..replicas)
             .filter(|&q| q != r && layout.can_reach[q] & (1 << r) != 0)
             .fold(0u64, |acc, q| acc | (1 << q));
@@ -528,7 +536,7 @@ impl Engine {
             layout.can_reach[r],
             gaters,
             layout.max_depth,
-            config.retransmit_timeout,
+            RETRANSMIT_TIMEOUT,
         ));
         Ok(node)
     }
@@ -614,21 +622,14 @@ impl Engine {
         };
         let (detector, _, _) =
             compile::build_detector(&self.primitives, &self.local_defs, &self.global_defs)?;
-        let sites = self.coordinator.0 as usize;
-        let mut coord =
-            CoordinatorNode::with_policy(sites, detector, self.gg_nanos, self.release_policy);
-        coord.set_buffer_gc(self.config.buffer_gc);
-        coord.set_reportable(self.local_defs.iter().map(|(name, _, _)| {
-            *self
-                .name_ids
-                .get(name)
-                .expect("local definition registered at construction")
-        }));
-        coord.set_fault_tolerance(
-            self.config.ack_interval,
-            self.config.stall_intervals,
-            self.config.auto_evict,
-            self.config.parked_cap,
+        let mut coord = coordinator_node(
+            &self.config,
+            self.coordinator.0 as usize,
+            detector,
+            self.gg_nanos,
+            self.local_defs
+                .iter()
+                .map(|(name, _, _)| self.name_ids[name]),
         );
         let timers = coord
             .recover(std::path::Path::new(&dir), self.config.snapshot_interval)
@@ -763,7 +764,7 @@ impl Engine {
     /// Run for `horizon` more simulated time **relative to the current
     /// simulation clock**, then drain and return the detections produced
     /// so far. `run_until(t)` followed by `run_for(h)` covers exactly the
-    /// same simulated span as `run_until(t + h)`. (Heartbeat/batch timers
+    /// same simulated span as `run_until(t + h)`. (Beacon timers
     /// re-arm forever, so a bounded horizon is required; there is no
     /// run-to-quiescence.)
     pub fn run_for(&mut self, horizon: Nanos) -> Vec<Detection> {
@@ -855,7 +856,6 @@ impl Engine {
             };
             let r = &c.metrics;
             m.events_received += r.events_received;
-            m.heartbeats_received += r.heartbeats_received;
             m.events_released += r.events_released;
             m.detections += r.detections;
             m.reassembly_parks += r.reassembly_parks;
@@ -1085,10 +1085,11 @@ mod tests {
         let (batched, m_batched) = run(Nanos::from_millis(20));
         assert_eq!(plain, batched, "batching must not change detections");
         assert!(!plain.is_empty());
-        // Transport actually switched: batches instead of events+heartbeats.
-        assert_eq!(m_plain.batches_received, 0);
+        // Transport actually switched: per-event batches are all empty
+        // heartbeats, while the batched run's batches carry the events.
+        assert!(m_plain.batches_received > 0);
+        assert_eq!(m_plain.batch_size_max, 0);
         assert!(m_batched.batches_received > 0);
-        assert_eq!(m_batched.heartbeats_received, 0);
         assert!(m_batched.batch_size_max >= 1);
         assert!(m_batched.messages_processed < m_plain.messages_processed);
         assert_eq!(m_batched.shard_count, 1);
@@ -1102,7 +1103,8 @@ mod tests {
         e.run_for(Nanos::from_secs(3));
         let m = e.metrics();
         assert_eq!(m.events_received, 2);
-        assert!(m.heartbeats_received > 100); // 3 sites @ 20 ms over 3 s
+        assert!(m.batches_received > 100); // heartbeats: 3 sites @ 20 ms over 3 s
+        assert_eq!(m.batch_size_max, 0);
         assert!(m.mean_stability_latency_ns() > 0);
     }
 
@@ -1191,5 +1193,124 @@ mod tests {
         assert_eq!(m2.replica_count, 2);
         assert_eq!(m4.replica_count, 4);
         assert!(m2.routed_received > 0, "sites must route announcements");
+    }
+
+    /// A chain of definitions spread over many replicas: `X` feeds `Y`
+    /// and `W`, `Y` feeds `Z`, `Z` and `W` feed `V`.
+    fn chained_run(replicas: usize) -> Vec<(String, CompositeTimestamp)> {
+        let defs = [
+            (
+                "X",
+                EventExpr::seq(EventExpr::prim("A"), EventExpr::prim("B")),
+            ),
+            (
+                "Y",
+                EventExpr::and(EventExpr::prim("X"), EventExpr::prim("C")),
+            ),
+            (
+                "Z",
+                EventExpr::seq(EventExpr::prim("Y"), EventExpr::prim("D")),
+            ),
+            (
+                "W",
+                EventExpr::and(EventExpr::prim("X"), EventExpr::prim("D")),
+            ),
+            (
+                "V",
+                EventExpr::or(EventExpr::prim("Z"), EventExpr::prim("W")),
+            ),
+            (
+                "U",
+                EventExpr::seq(EventExpr::prim("C"), EventExpr::prim("A")),
+            ),
+        ];
+        let defs: Vec<(&str, EventExpr, Context)> = defs
+            .into_iter()
+            .map(|(name, expr)| (name, expr, Context::Chronicle))
+            .collect();
+        let mut e = Engine::new(
+            &scenario(3, 42),
+            EngineConfig {
+                coordinator_replicas: replicas,
+                ..EngineConfig::default()
+            },
+            &["A", "B", "C", "D"],
+            &defs,
+        )
+        .unwrap();
+        for (k, ev) in ["A", "C", "B", "D", "A", "B", "C", "D", "C", "A"]
+            .into_iter()
+            .enumerate()
+        {
+            let ms = 1_000 + 400 * k as u64;
+            e.inject(Nanos::from_millis(ms), k as u32 % 3, ev, vec![])
+                .unwrap();
+        }
+        e.run_for(Nanos::from_secs(10))
+            .into_iter()
+            .map(|d| (d.name, d.occ.time))
+            .collect()
+    }
+
+    #[test]
+    fn sixteen_replicas_match_single_coordinator() {
+        let single = chained_run(1);
+        assert!(single.iter().any(|(name, _)| name == "V"), "{single:?}");
+        assert_eq!(chained_run(16), single);
+    }
+
+    #[test]
+    fn more_replicas_than_the_mask_width_are_refused() {
+        let build = |replicas| {
+            Engine::new(
+                &scenario(2, 1),
+                EngineConfig {
+                    coordinator_replicas: replicas,
+                    ..EngineConfig::default()
+                },
+                &["A", "B"],
+                &[(
+                    "X",
+                    EventExpr::seq(EventExpr::prim("A"), EventExpr::prim("B")),
+                    Context::Chronicle,
+                )],
+            )
+        };
+        assert!(build(MAX_REPLICAS).is_ok());
+        assert!(build(MAX_REPLICAS + 1).is_err());
+    }
+
+    #[test]
+    fn unacked_counts_every_replica_link() {
+        let mut e = Engine::new(
+            &scenario(2, 42),
+            EngineConfig {
+                coordinator_replicas: 2,
+                ..EngineConfig::default()
+            },
+            &["A", "B"],
+            &[
+                (
+                    "X",
+                    EventExpr::seq(EventExpr::prim("A"), EventExpr::prim("B")),
+                    Context::Chronicle,
+                ),
+                (
+                    "Y",
+                    EventExpr::seq(EventExpr::prim("B"), EventExpr::prim("A")),
+                    Context::Chronicle,
+                ),
+            ],
+        )
+        .unwrap();
+        e.partition_site(0, Nanos::from_secs(1), Nanos::from_secs(2));
+        e.inject(Nanos::from_millis(1_200), 0, "A", vec![]).unwrap();
+        // Mid-partition: nothing site 0 sent since 1 s has been acked.
+        e.run_until(Nanos::from_millis(1_500));
+        assert!(e.unacked(0) > 0);
+        // Healed and retransmitted: checked half a heartbeat away from
+        // the beacons, every link's window is empty again.
+        e.run_until(Nanos::from_millis(5_010));
+        assert_eq!(e.unacked(0), 0);
     }
 }

@@ -11,9 +11,9 @@
 //! ## Architecture
 //!
 //! ```text
-//!  site 0 ─┐ EventMsg(seq)                 ┌──────────────────────────┐
+//!  site 0 ─┐ Event(seq)                    ┌──────────────────────────┐
 //!  site 1 ─┼──── reordering links ────────▶│ coordinator              │
-//!  site 2 ─┘ Heartbeat(watermark, seq)     │  per-site FIFO reassembly│
+//!  site 2 ─┘ Batch(seq, watermark, events) │  per-site FIFO reassembly│
 //!                                          │  watermark stability     │
 //!                                          │  canonical release order │
 //!                                          │  shared-plan detector    │
@@ -23,8 +23,11 @@
 //! * **FIFO reassembly** — every site stamps its messages with a sequence
 //!   number; the coordinator processes them in sequence order even when
 //!   the network reorders (the TCP-like substrate the semantics assumes).
-//! * **Watermark stability** — a notification whose timestamp has maximum
-//!   global tick `g` is *stable* once every site's heartbeat watermark
+//!   Each site keeps one such link per receiver: the coordinator, or every
+//!   replica of a partitioned plane (`Routed` frames instead of `Batch`).
+//! * **Watermark stability** — a batch carries the site's watermark, and
+//!   an empty batch is a heartbeat. A notification whose timestamp has
+//!   maximum global tick `g` is *stable* once every site's watermark
 //!   exceeds `g + 1·g_g`: no event that could still arrive can happen
 //!   before, or be concurrent with, it. Stable notifications are released
 //!   into the detector in a canonical order, which makes detection a pure

@@ -129,15 +129,16 @@ pub fn sack_valid(cum_seq: u64, sack: &[(u64, u64)]) -> bool {
         })
 }
 
-/// The wire protocol. Every site→coordinator message carries a per-site
+/// The wire protocol. Every site→coordinator message carries a per-link
 /// sequence number so the coordinator can reassemble FIFO order over a
 /// reordering network, plus the site's **incarnation epoch** so messages
 /// from a dead incarnation (whose sequence space may conflict with the
 /// current one after a non-durable restart) are filtered instead of
-/// corrupting reassembly.
+/// corrupting reassembly. A site's watermark travels on its batch frames
+/// (`Batch`, or `Routed` to a replica): an empty frame is a heartbeat.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
-    /// Engine control: start heartbeating (delivered at simulation start).
+    /// Engine control: start beaconing (delivered at simulation start).
     Start,
     /// External workload: a primitive event of type `ty` happened *here*,
     /// with these parameters. The receiving site stamps it with its clock.
@@ -156,22 +157,14 @@ pub enum Msg {
         /// The stamped occurrence (singleton composite timestamp).
         occ: Occurrence<CompositeTimestamp>,
     },
-    /// A liveness/watermark beacon, site → coordinator: "every event I
-    /// will ever send from now on has global tick ≥ `watermark`".
-    Heartbeat {
-        /// Per-site sequence number (shared stream with events).
-        seq: u64,
-        /// The sender's incarnation epoch.
-        epoch: u64,
-        /// The site's current global tick.
-        watermark: u64,
-    },
     /// Batched notification, site → coordinator: every occurrence the site
     /// stamped during one batch interval plus the watermark at flush time,
-    /// in one message. Subsumes `Heartbeat` (an empty batch is exactly a
-    /// heartbeat) and `Event` (each element is processed as if it had
-    /// arrived individually, in order). One sequence number covers the
-    /// whole batch on the shared per-site stream.
+    /// in one message — "every event I will ever send after this batch has
+    /// global tick ≥ `watermark`". An empty batch is exactly a heartbeat:
+    /// a per-event site beacons its watermark as one every heartbeat
+    /// interval. Each element is processed as if it had arrived
+    /// individually as an `Event`, in order. One sequence number covers
+    /// the whole batch on the shared per-site stream.
     Batch {
         /// Per-site sequence number (shared stream).
         seq: u64,
@@ -228,11 +221,11 @@ pub enum Msg {
         watermark: u64,
     },
     /// Failure injection: the receiving site crashes — it stops
-    /// heartbeating and drops future injections.
+    /// beaconing and drops future injections.
     Crash,
     /// Failure injection: a crashed site restarts — it bumps its epoch,
     /// recovers durable state when configured, announces `Hello`, and
-    /// resumes heartbeating. Delivered to a live site it is a no-op.
+    /// resumes beaconing. Delivered to a live site it is a no-op.
     Restart,
     /// Operator action at the coordinator: stop waiting for `site`'s
     /// watermark (its promises are treated as +∞ from now on). Buffered
@@ -279,6 +272,26 @@ pub enum Msg {
     },
 }
 
+impl Msg {
+    /// The sequence number of a sequence-numbered message (site and
+    /// replica traffic); `None` for control messages and acks.
+    pub fn seq(&self) -> Option<u64> {
+        match self {
+            Msg::Event { seq, .. }
+            | Msg::Batch { seq, .. }
+            | Msg::Hello { seq, .. }
+            | Msg::Routed { seq, .. }
+            | Msg::Relay { seq, .. } => Some(*seq),
+            Msg::Start
+            | Msg::Inject { .. }
+            | Msg::Ack { .. }
+            | Msg::Crash
+            | Msg::Restart
+            | Msg::Evict { .. } => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,12 +306,6 @@ mod tests {
         };
         let m2 = m.clone();
         assert!(format!("{m2:?}").contains("seq: 3"));
-        let h = Msg::Heartbeat {
-            seq: 4,
-            epoch: 0,
-            watermark: 9,
-        };
-        assert!(format!("{h:?}").contains("watermark"));
         let hello = Msg::Hello {
             seq: 6,
             epoch: 2,

@@ -2,8 +2,9 @@
 //! clock, optionally runs a **local detection graph** (the paper's
 //! architecture detects site-local composite events at the site and
 //! propagates their set-valued timestamps), and streams primitive events,
-//! local detections and watermark heartbeats to the coordinator under a
-//! single per-site sequence number.
+//! local detections and watermark beacons over one sequence-numbered
+//! link per receiver — the coordinator, or every coordinator replica
+//! of a partitioned plane.
 
 use crate::durability::site_wal::{
     compaction_records, recover_site_state, SiteWalRecord, SiteWalState,
@@ -18,33 +19,37 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-const HEARTBEAT_TAG: u64 = 0;
-const BATCH_TAG: u64 = 1;
-const RETX_TAG: u64 = 2;
-/// Per-uplink retransmission timer tags in partitioned mode:
-/// `PART_RETX_BASE + uplink_index` (uplink counts are bounded by
-/// [`LOCAL_TIMER_BASE`]`− PART_RETX_BASE`).
-const PART_RETX_BASE: u64 = 3;
-/// Timer tags below this are reserved for site infrastructure; local
-/// detector timers are offset by it.
-const LOCAL_TIMER_BASE: u64 = 16;
+/// Timer tag of the beacon (the periodic flush of every link).
+const BEACON_TAG: u64 = 0;
+/// Per-link retransmission timer tags: `RETX_BASE + link`.
+const RETX_BASE: u64 = 1;
+/// Local detector timer tags count up from here, far above any link.
+const LOCAL_TIMER_BASE: u64 = 1 << 32;
 
 /// Timer tags carry the site's restart generation in their high bits, so
 /// a fire armed by a dead incarnation is recognized and discarded instead
-/// of doubling the new incarnation's heartbeat/batch/retransmit chains.
+/// of doubling the new incarnation's beacon/retransmit chains.
 const GEN_SHIFT: u32 = 48;
 const TAG_MASK: u64 = (1 << GEN_SHIFT) - 1;
+
+/// Base retransmission timeout of a deployed engine's sites: far above
+/// LAN/WAN round trips, so a healthy link sees no spurious retransmits
+/// (and a spurious copy is just deduped anyway).
+pub(crate) const RETRANSMIT_TIMEOUT: Nanos = Nanos::from_millis(200);
+/// Cap on a deployed engine's exponential retransmission backoff. Retries
+/// continue at the cap forever, so any partition that heals is crossed.
+pub(crate) const RETRANSMIT_CAP: Nanos = Nanos::from_millis(3_200);
 
 /// Most unacked messages resent per retransmission round. Cumulative acks
 /// trim the buffer between rounds, so a long outage drains incrementally
 /// instead of flooding the link with one giant burst.
 const RETX_BURST: usize = 64;
 
-/// The send side of one sequence-numbered stream — the classic site →
-/// coordinator stream or one site → replica uplink: the messages it must
-/// keep until they are cumulatively acked, the retransmission backoff,
-/// and the receiver's latest selective-ack view.
+/// The send side of one link: the messages it must keep until they are
+/// cumulatively acked, the retransmission backoff, and the receiver's
+/// latest selective-ack view.
 ///
 /// Loss is repaired two ways. An ack whose SACK shows a hole below the
 /// highest sacked sequence number fast-retransmits that hole at once,
@@ -59,7 +64,7 @@ struct SendWindow {
     /// Current retransmission backoff (reset to the base whenever an ack
     /// makes progress).
     backoff: Nanos,
-    /// Whether the stream's retransmission timer is outstanding.
+    /// Whether the link's retransmission timer is outstanding.
     armed: bool,
     /// The receiver's latest SACK ranges, replaced by every ack. Volatile:
     /// never logged, cleared by a restart.
@@ -158,12 +163,79 @@ impl SendWindow {
     }
 }
 
-/// Which of a site's streams: the classic coordinator stream, or uplink
-/// `u` to a coordinator replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Stream {
-    Classic,
-    Uplink(usize),
+/// What a link coalesces between flushes, by the frame it flushes into.
+#[derive(Debug)]
+enum Staged {
+    /// The coordinator link: occurrences, flushed as one `Msg::Batch`.
+    Batch(Vec<Occurrence<CompositeTimestamp>>),
+    /// A replica link: the subscribed occurrences with their stamp
+    /// ordinals, flushed as one `Msg::Routed`.
+    Routed(Vec<RoutedEvent>),
+}
+
+/// One sequence-numbered stream from this site to one receiver: the
+/// coordinator (a classic deployment's only link) or one coordinator
+/// replica. Each link reassembles FIFO at its receiver independently,
+/// with its own staged frame and send window.
+#[derive(Debug)]
+struct Link {
+    /// The receiving node.
+    node: NodeIdx,
+    /// Next sequence number on this link.
+    seq: u64,
+    /// Occurrences staged since the last flush, in site stamping order.
+    staged: Staged,
+    /// Retained unacked messages, backoff and SACK view.
+    window: SendWindow,
+}
+
+impl Staged {
+    /// Move everything staged out, leaving this side empty.
+    fn take(&mut self) -> Staged {
+        match self {
+            Staged::Batch(occs) => Staged::Batch(std::mem::take(occs)),
+            Staged::Routed(events) => Staged::Routed(std::mem::take(events)),
+        }
+    }
+
+    /// The frame carrying these occurrences plus `watermark`, at sequence
+    /// number `seq`. An empty frame is exactly a heartbeat.
+    fn into_frame(self, seq: u64, epoch: u64, watermark: u64) -> Msg {
+        // One Arc wrap at flush: retransmit retention (and any WAL copy at
+        // the receiver) shares this allocation.
+        match self {
+            Staged::Batch(occs) => Msg::Batch {
+                seq,
+                epoch,
+                watermark,
+                events: Arc::new(occs),
+            },
+            Staged::Routed(events) => Msg::Routed {
+                seq,
+                epoch,
+                watermark,
+                events: Arc::new(events),
+            },
+        }
+    }
+}
+
+impl Link {
+    fn new(node: NodeIdx, staged: Staged, retx_base: Nanos) -> Self {
+        Link {
+            node,
+            seq: 0,
+            staged,
+            window: SendWindow::new(retx_base),
+        }
+    }
+
+    /// Forget everything a dead incarnation held on this link.
+    fn reset(&mut self, retx_base: Nanos) {
+        self.seq = 0;
+        self.staged.take();
+        self.window = SendWindow::new(retx_base);
+    }
 }
 
 /// Site-local detection state: a compiled detector plus the mapping from
@@ -203,35 +275,17 @@ impl std::fmt::Debug for LocalDetection {
     }
 }
 
-/// One subscription-routed uplink to a coordinator replica: an
-/// independent sequence-numbered stream with its own staged batch and
-/// send window, so each site–replica pair reassembles FIFO order exactly
-/// like the classic single-coordinator stream.
-#[derive(Debug)]
-struct Uplink {
-    /// The replica this uplink streams to.
-    node: NodeIdx,
-    /// Next sequence number on this stream.
-    seq: u64,
-    /// Subscribed occurrences staged since the last flush, in site
-    /// stamping order.
-    staged: Vec<RoutedEvent>,
-    /// Retained unacked messages, backoff and SACK view.
-    window: SendWindow,
-}
-
-/// A site: event source + optional local detector + heartbeat beacon.
+/// A site: event source + optional local detector + watermark beacon.
 #[derive(Debug)]
 pub struct SiteNode {
-    coordinator: NodeIdx,
-    heartbeat_interval: Nanos,
-    /// Batch flush period; `Nanos::ZERO` disables batching (per-event
-    /// `Msg::Event` + periodic `Msg::Heartbeat` instead of `Msg::Batch`).
-    batch_interval: Nanos,
-    /// Occurrences coalesced since the last flush (batching mode only),
-    /// in send order.
-    pending: Vec<Occurrence<CompositeTimestamp>>,
-    seq: u64,
+    /// One link per receiver: the coordinator alone, or every replica.
+    links: Vec<Link>,
+    /// Beacon period: the batch interval when batching, else the
+    /// heartbeat interval.
+    beacon_interval: Nanos,
+    /// Whether occurrences wait for the beacon (batching) instead of
+    /// leaving at once (`Msg::Event`, or a one-event `Msg::Routed`).
+    batching: bool,
     /// Events dropped because the site clock had not started yet.
     pub dropped_pre_epoch: u64,
     /// Whether the site has crashed (failure injection).
@@ -247,8 +301,6 @@ pub struct SiteNode {
     /// up to this bound, then stays there — retries never stop, so any
     /// partition that eventually heals is eventually crossed.
     retx_cap: Nanos,
-    /// The classic stream's send window (unused with uplinks).
-    window: SendWindow,
     /// Messages resent by the retransmission timer (and by a restart's
     /// backlog burst).
     pub retransmits: u64,
@@ -284,16 +336,14 @@ pub struct SiteNode {
     /// restored on restart: partial matches are volatile and die with the
     /// incarnation that accumulated them.
     local_pristine: Option<PlanState<CompositeTimestamp>>,
-    /// Subscription-routed uplinks, one per coordinator replica. Empty in
+    /// Full-catalog event type → subscribing replica links, ascending.
+    /// Types no replica subscribes to are dropped at the site. Empty in
     /// the classic single-coordinator deployment.
-    uplinks: Vec<Uplink>,
-    /// Full-catalog event type → subscribing uplink indices, ascending.
-    /// Types no replica subscribes to are dropped at the site.
     routes: HashMap<u32, Vec<usize>>,
     /// The site's stamp ordinal: position of each stamped occurrence in
-    /// the site's total send order, shared across all uplinks so replicas
-    /// receiving disjoint subsets agree on the interleaving. Like `epoch`,
-    /// it survives simulated crashes (standing in for a monotone
+    /// the site's total send order, shared across all replica links so
+    /// replicas receiving disjoint subsets agree on the interleaving. Like
+    /// `epoch`, it survives simulated crashes (standing in for a monotone
     /// site-local counter), so post-restart keys never collide with the
     /// dead incarnation's.
     ordinal: u64,
@@ -303,18 +353,19 @@ impl SiteNode {
     /// A site that reports to `coordinator`.
     pub fn new(coordinator: NodeIdx, heartbeat_interval: Nanos) -> Self {
         SiteNode {
-            coordinator,
-            heartbeat_interval,
-            batch_interval: Nanos::ZERO,
-            pending: Vec::new(),
-            seq: 0,
+            links: vec![Link::new(
+                coordinator,
+                Staged::Batch(Vec::new()),
+                Nanos::ZERO,
+            )],
+            beacon_interval: heartbeat_interval,
+            batching: false,
             dropped_pre_epoch: 0,
             crashed: false,
             local: None,
             local_detections: 0,
             retx_base: Nanos::ZERO,
             retx_cap: Nanos::ZERO,
-            window: SendWindow::new(Nanos::ZERO),
             retransmits: 0,
             fast_retransmits: 0,
             sacks_refused: 0,
@@ -327,41 +378,31 @@ impl SiteNode {
             wal_errors: 0,
             wal_failed: None,
             local_pristine: None,
-            uplinks: Vec::new(),
             routes: HashMap::new(),
             ordinal: 0,
         }
     }
 
-    /// Switch the site to the partitioned detection plane: stream to
-    /// `replicas` coordinator replicas over independent sequence-numbered
-    /// uplinks, routing each stamped occurrence only to the uplinks in
-    /// `routes[ty]`. Every replica still receives the site's full
-    /// watermark stream (an empty `Msg::Routed` is exactly a heartbeat).
-    pub fn with_uplinks(
+    /// Switch the site to the partitioned detection plane: one link per
+    /// coordinator replica in `replicas`, routing each stamped occurrence
+    /// only to the links in `routes[ty]`. Every replica still receives the
+    /// site's full watermark stream (an empty `Msg::Routed` is exactly a
+    /// heartbeat).
+    pub fn with_replicas(
         mut self,
         replicas: Vec<NodeIdx>,
         routes: HashMap<u32, Vec<usize>>,
     ) -> Self {
-        assert!(
-            replicas.len() <= (LOCAL_TIMER_BASE - PART_RETX_BASE) as usize,
-            "too many coordinator replicas for the site timer-tag space"
-        );
-        self.uplinks = replicas
+        self.links = replicas
             .into_iter()
-            .map(|node| Uplink {
-                node,
-                seq: 0,
-                staged: Vec::new(),
-                window: SendWindow::new(self.retx_base),
-            })
+            .map(|node| Link::new(node, Staged::Routed(Vec::new()), self.retx_base))
             .collect();
         self.routes = routes;
         self
     }
 
     fn partitioned(&self) -> bool {
-        !self.uplinks.is_empty()
+        matches!(self.links[0].staged, Staged::Routed(_))
     }
 
     /// Seed deterministic jitter for the retransmission backoff: each
@@ -374,7 +415,9 @@ impl SiteNode {
 
     /// Enable site durability: outbound allocations, acks and staged
     /// events are logged (and synced) to a WAL in `dir` before they take
-    /// effect, so a restart recovers the unacked send window.
+    /// effect, so a restart recovers the unacked send window. Only a
+    /// single-link site can be durable (the engine refuses durability
+    /// with replicas): the log holds one sequence space.
     pub fn set_durability(&mut self, dir: &Path) -> io::Result<()> {
         let mut w = WalWriter::create(dir)?;
         w.append(&SiteWalRecord::Epoch { epoch: self.epoch })?;
@@ -406,11 +449,12 @@ impl SiteNode {
         self.wal = None;
     }
 
-    /// Append + sync one record (log-before-send discipline: the entry
-    /// must be durable before its effect is observable).
-    fn wal_log(&mut self, rec: &SiteWalRecord) {
+    /// Append + sync one record when the site WAL is on (log-before-send
+    /// discipline: the entry must be durable before its effect is
+    /// observable). `rec` is only built when there is a log to write.
+    fn wal_log(&mut self, rec: impl FnOnce() -> SiteWalRecord) {
         if let Some(w) = self.wal.as_mut() {
-            if let Err(e) = w.append(rec).and_then(|()| w.sync()) {
+            if let Err(e) = w.append(&rec()).and_then(|()| w.sync()) {
                 self.wal_io_error(e);
             }
         }
@@ -427,29 +471,27 @@ impl SiteNode {
     pub fn with_reliability(mut self, base: Nanos, cap: Nanos) -> Self {
         self.retx_base = base;
         self.retx_cap = Nanos(cap.get().max(base.get()));
-        self.window.backoff = base;
-        for up in &mut self.uplinks {
-            up.window.backoff = base;
+        for link in &mut self.links {
+            link.window.backoff = base;
         }
         self
     }
 
-    /// Number of sent-but-unacked messages the classic stream holds for
-    /// retransmission.
+    /// Number of sent-but-unacked messages held for retransmission,
+    /// summed over every link.
     pub fn unacked(&self) -> usize {
-        self.window.unacked.len()
+        self.links.iter().map(|l| l.window.unacked.len()).sum()
     }
 
     /// Switch the site to batched notifications flushed every `interval`
-    /// (`Nanos::ZERO` keeps per-event mode). In batching mode every flush
-    /// carries the watermark, so separate heartbeats are suppressed.
+    /// (`Nanos::ZERO` keeps per-event mode). Every flush carries the
+    /// watermark, so the batch interval replaces the heartbeat interval.
     pub fn with_batching(mut self, interval: Nanos) -> Self {
-        self.batch_interval = interval;
+        if interval.get() > 0 {
+            self.batching = true;
+            self.beacon_interval = interval;
+        }
         self
-    }
-
-    fn batching(&self) -> bool {
-        self.batch_interval.get() > 0
     }
 
     /// A site with a local detection graph.
@@ -477,136 +519,88 @@ impl SiteNode {
         }
         if self.partitioned() {
             self.forward_routed(occ, ctx);
-        } else if self.batching() {
-            self.wal_log(&SiteWalRecord::Staged { occ: occ.clone() });
-            self.pending.push(occ);
+        } else if self.batching {
+            self.wal_log(|| SiteWalRecord::Staged { occ: occ.clone() });
+            if let Staged::Batch(occs) = &mut self.links[0].staged {
+                occs.push(occ);
+            }
         } else {
-            let seq = self.next_seq();
             let epoch = self.epoch;
-            self.send_seq(seq, Msg::Event { seq, epoch, occ }, ctx);
+            self.send(0, |seq| Msg::Event { seq, epoch, occ }, ctx);
         }
     }
 
-    /// Stage a stamped occurrence on every subscribing uplink (consuming
-    /// one stamp ordinal either way — unsubscribed types leave a gap, and
-    /// only the relative order matters to replicas). Without batching the
-    /// subscribed uplinks flush immediately.
+    /// Stage a stamped occurrence on every subscribing replica link
+    /// (consuming one stamp ordinal either way — unsubscribed types leave
+    /// a gap, and only the relative order matters to replicas). Without
+    /// batching the subscribed links flush immediately.
     fn forward_routed(&mut self, occ: Occurrence<CompositeTimestamp>, ctx: &mut Ctx<'_, Msg>) {
         let ordinal = self.ordinal;
         self.ordinal += 1;
-        let subs = match self.routes.get(&occ.ty.0) {
-            Some(s) => s.clone(),
-            None => return,
+        let Some(subs) = self.routes.get(&occ.ty.0).cloned() else {
+            return;
         };
         for &u in &subs {
-            self.uplinks[u].staged.push(RoutedEvent {
-                ordinal,
-                occ: occ.clone(),
-            });
+            if let Staged::Routed(events) = &mut self.links[u].staged {
+                events.push(RoutedEvent {
+                    ordinal,
+                    occ: occ.clone(),
+                });
+            }
         }
-        if !self.batching() {
+        if !self.batching {
             if let Ok(parts) = ctx.stamp() {
                 for &u in &subs {
-                    self.flush_uplink(u, parts.global.get(), ctx);
+                    self.flush(u, parts.global.get(), ctx);
                 }
             }
         }
     }
 
-    /// Send a sequence-numbered message on uplink `u`, retaining it for
-    /// retransmission until cumulatively acked (when reliability is on).
-    fn send_uplink(&mut self, u: usize, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        let up = &mut self.uplinks[u];
-        let seq = up.seq;
-        up.seq += 1;
-        let node = up.node;
-        self.retain(Stream::Uplink(u), seq, &msg, ctx);
-        ctx.send(node, msg);
+    /// Send the next sequence-numbered message on link `u`, built by
+    /// `frame` from its sequence number: logged first when the site WAL
+    /// is on (so recovery's retransmit buffer is a superset of anything
+    /// the receiver could have seen), and retained for retransmission
+    /// until cumulatively acked when reliability is on.
+    fn send(&mut self, u: usize, frame: impl FnOnce(u64) -> Msg, ctx: &mut Ctx<'_, Msg>) {
+        let seq = self.links[u].seq;
+        self.links[u].seq += 1;
+        let msg = frame(seq);
+        self.wal_log(|| SiteWalRecord::Sent { msg: msg.clone() });
+        if self.retx_base.get() > 0 {
+            let tag = self.gen_tag(RETX_BASE + u as u64);
+            if let Some(delay) = self.links[u].window.retain(seq, msg.clone()) {
+                ctx.set_timer(delay, tag);
+            }
+        }
+        ctx.send(self.links[u].node, msg);
     }
 
-    /// Flush uplink `u`: one `Msg::Routed` carrying everything staged for
-    /// it since the last flush plus the watermark (an empty flush is
-    /// exactly a heartbeat).
-    fn flush_uplink(&mut self, u: usize, watermark: u64, ctx: &mut Ctx<'_, Msg>) {
+    /// Flush link `u`: one frame carrying everything staged on it since
+    /// the last flush plus the watermark.
+    fn flush(&mut self, u: usize, watermark: u64, ctx: &mut Ctx<'_, Msg>) {
         let epoch = self.epoch;
-        let up = &mut self.uplinks[u];
-        let seq = up.seq;
-        let events = std::sync::Arc::new(std::mem::take(&mut up.staged));
-        self.send_uplink(
-            u,
-            Msg::Routed {
-                seq,
-                epoch,
-                watermark,
-                events,
-            },
-            ctx,
-        );
+        let staged = self.links[u].staged.take();
+        self.send(u, |seq| staged.into_frame(seq, epoch, watermark), ctx);
     }
 
-    /// The partitioned-mode beacon: flush every uplink (staged events in
-    /// batching mode, pure watermark heartbeats otherwise) and re-arm.
-    fn routed_beacon(&mut self, ctx: &mut Ctx<'_, Msg>) {
+    /// The beacon: flush every link — its staged events, or nothing, which
+    /// makes the frame a pure watermark heartbeat — and re-arm. A crashed
+    /// site neither flushes nor re-arms, so staged occurrences die with it
+    /// (the coordinator must evict to make progress).
+    fn beacon(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if self.crashed {
             return; // no beacon, no re-arm: the site is silent.
         }
         if let Ok(parts) = ctx.stamp() {
-            for u in 0..self.uplinks.len() {
-                self.flush_uplink(u, parts.global.get(), ctx);
+            for u in 0..self.links.len() {
+                self.flush(u, parts.global.get(), ctx);
             }
         }
-        let (interval, tag) = if self.batching() {
-            (self.batch_interval, BATCH_TAG)
-        } else {
-            (self.heartbeat_interval, HEARTBEAT_TAG)
-        };
-        ctx.set_timer(interval, self.gen_tag(tag));
+        ctx.set_timer(self.beacon_interval, self.gen_tag(BEACON_TAG));
     }
 
-    /// The send window of stream `s` and the node it streams to.
-    fn stream(&mut self, s: Stream) -> (&mut SendWindow, NodeIdx) {
-        match s {
-            Stream::Classic => (&mut self.window, self.coordinator),
-            Stream::Uplink(u) => {
-                let up = &mut self.uplinks[u];
-                (&mut up.window, up.node)
-            }
-        }
-    }
-
-    /// Stream `s`'s retransmission timer tag.
-    fn retx_tag(&self, s: Stream) -> u64 {
-        self.gen_tag(match s {
-            Stream::Classic => RETX_TAG,
-            Stream::Uplink(u) => PART_RETX_BASE + u as u64,
-        })
-    }
-
-    /// Retain a sent message in stream `s`'s window (when reliability is
-    /// on), arming the stream's retransmission timer if it is idle.
-    fn retain(&mut self, s: Stream, seq: u64, msg: &Msg, ctx: &mut Ctx<'_, Msg>) {
-        if self.retx_base.get() == 0 {
-            return;
-        }
-        let tag = self.retx_tag(s);
-        if let Some(delay) = self.stream(s).0.retain(seq, msg.clone()) {
-            ctx.set_timer(delay, tag);
-        }
-    }
-
-    /// Send a sequence-numbered message on the classic stream, retaining a
-    /// copy for retransmission until it is cumulatively acked (when
-    /// reliability is enabled).
-    fn send_seq(&mut self, seq: u64, msg: Msg, ctx: &mut Ctx<'_, Msg>) {
-        // Log-before-send: the allocation is durable before the message
-        // is observable, so recovery's retransmit buffer is a superset of
-        // anything the coordinator could have received.
-        self.wal_log(&SiteWalRecord::Sent { msg: msg.clone() });
-        self.retain(Stream::Classic, seq, &msg, ctx);
-        ctx.send(self.coordinator, msg);
-    }
-
-    /// An ack from `from`: trim the acked stream's window (progress resets
+    /// An ack from `from`: trim the acked link's window (progress resets
     /// its backoff), adopt its SACK view and fast-retransmit the holes it
     /// reveals. A malformed SACK is counted and ignored; the cumulative
     /// part still applies. Acks stamped by a previous incarnation's traffic
@@ -628,19 +622,18 @@ impl SiteNode {
         if epoch != self.epoch || self.retx_base.get() == 0 {
             return;
         }
-        let s = if self.partitioned() {
-            match self.uplinks.iter().position(|up| up.node == from) {
-                Some(u) => Stream::Uplink(u),
-                None => return,
-            }
-        } else {
-            Stream::Classic
+        // The acked link streams to the sender; a single-link site has
+        // only one window an ack can be for.
+        let found = self.links.iter().position(|l| l.node == from);
+        let Some(u) = found.or((self.links.len() == 1).then_some(0)) else {
+            return;
         };
         let base = self.retx_base;
-        let (window, to) = self.stream(s);
-        let (progressed, holes) = window.on_ack(cum_seq, sack, base);
-        if progressed && s == Stream::Classic {
-            self.wal_log(&SiteWalRecord::Acked { cum_seq });
+        let link = &mut self.links[u];
+        let to = link.node;
+        let (progressed, holes) = link.window.on_ack(cum_seq, sack, base);
+        if progressed {
+            self.wal_log(|| SiteWalRecord::Acked { cum_seq });
         }
         self.fast_retransmits += holes.len() as u64;
         for msg in holes {
@@ -648,20 +641,20 @@ impl SiteNode {
         }
     }
 
-    /// Retransmission round for stream `s`: resend the oldest unsacked
+    /// Retransmission round for link `u`: resend the oldest unsacked
     /// messages and back off exponentially, jittered when seeded.
-    fn retransmit_round(&mut self, s: Stream, ctx: &mut Ctx<'_, Msg>) {
+    fn retransmit_round(&mut self, u: usize, ctx: &mut Ctx<'_, Msg>) {
         let (base, cap, crashed) = (self.retx_base, self.retx_cap, self.crashed);
-        let tag = self.retx_tag(s);
-        let (window, to) = self.stream(s);
+        let tag = self.gen_tag(RETX_BASE + u as u64);
+        let link = &mut self.links[u];
         if crashed {
-            window.armed = false;
+            link.window.armed = false;
             return; // the site is dead: nothing is ever resent.
         }
-        let Some(burst) = window.timer_round(base, cap) else {
+        let Some(burst) = link.window.timer_round(base, cap) else {
             return;
         };
-        let backoff = window.backoff;
+        let (backoff, to) = (link.window.backoff, link.node);
         self.retransmits += burst.len() as u64;
         for msg in burst {
             ctx.send(to, msg);
@@ -696,59 +689,6 @@ impl SiteNode {
         }
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
-        self.seq += 1;
-        s
-    }
-
-    fn heartbeat(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if self.crashed {
-            return; // no beacon, no re-arm: the site is silent.
-        }
-        if let Ok(parts) = ctx.stamp() {
-            let seq = self.next_seq();
-            self.send_seq(
-                seq,
-                Msg::Heartbeat {
-                    seq,
-                    epoch: self.epoch,
-                    watermark: parts.global.get(),
-                },
-                ctx,
-            );
-        }
-        ctx.set_timer(self.heartbeat_interval, self.gen_tag(HEARTBEAT_TAG));
-    }
-
-    /// Flush the pending batch: one `Msg::Batch` carrying every occurrence
-    /// coalesced since the previous flush plus the watermark at flush time.
-    /// An empty batch is still sent — it is exactly a heartbeat. A crashed
-    /// site neither flushes nor re-arms, so buffered occurrences die with
-    /// it (the coordinator must evict to make progress).
-    fn flush_batch(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        if self.crashed {
-            return; // pending events are lost: the site is silent.
-        }
-        if let Ok(parts) = ctx.stamp() {
-            let seq = self.next_seq();
-            // One Arc wrap at flush: retransmit retention (and any WAL
-            // copy at the coordinator) shares this allocation.
-            let events = std::sync::Arc::new(std::mem::take(&mut self.pending));
-            self.send_seq(
-                seq,
-                Msg::Batch {
-                    seq,
-                    epoch: self.epoch,
-                    watermark: parts.global.get(),
-                    events,
-                },
-                ctx,
-            );
-        }
-        ctx.set_timer(self.batch_interval, self.gen_tag(BATCH_TAG));
-    }
-
     /// Rewrite the site log to the compaction image of `img` and return
     /// the fresh writer positioned after it.
     fn rewrite_wal(dir: &Path, img: &SiteWalState) -> io::Result<WalWriter> {
@@ -762,16 +702,18 @@ impl SiteNode {
 
     /// Bring a crashed site back up as a new incarnation.
     ///
-    /// Volatile state (pending batch, retransmit buffer, sequence counter,
-    /// partial local-detection matches, outstanding timers) dies with the
-    /// old incarnation. A durable site then folds its WAL back into the
-    /// unacked send window it owed the coordinator; a non-durable site
-    /// restarts its sequence space at 0 and relies on the coordinator's
-    /// epoch filter to discard the old incarnation's stragglers.
+    /// Volatile state (staged frames, retransmit buffers, sequence
+    /// counters, partial local-detection matches, outstanding timers) dies
+    /// with the old incarnation. A durable site then folds its WAL back
+    /// into the unacked send window it owed the coordinator; a non-durable
+    /// site restarts every link's sequence space at 0 and relies on the
+    /// receivers' epoch filter to discard the old incarnation's
+    /// stragglers. The stamp ordinal is *not* reset — it survives like the
+    /// epoch, so new routing keys sort after the dead incarnation's.
     ///
-    /// The new incarnation announces itself with `Msg::Hello` *before*
-    /// resending any backlog, so on in-order links the coordinator's epoch
-    /// transition precedes every retagged message.
+    /// The new incarnation announces itself on every link with
+    /// `Msg::Hello` *before* resending any backlog, so on in-order links
+    /// the receiver's epoch transition precedes every retagged message.
     fn restart(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if !self.crashed {
             return; // restarting a live site is a no-op
@@ -779,9 +721,9 @@ impl SiteNode {
         self.crashed = false;
         self.gen += 1;
         self.restarts += 1;
-        self.pending.clear();
-        self.window = SendWindow::new(self.retx_base);
-        self.seq = 0;
+        for link in &mut self.links {
+            link.reset(self.retx_base);
+        }
         let pristine = self.local_pristine.clone();
         if let Some(local) = &mut self.local {
             local.timer_map.clear();
@@ -796,122 +738,83 @@ impl SiteNode {
         // for a monotone incarnation source (e.g. a supervisor counter);
         // durable sites additionally recover it from the log, so whichever
         // is higher wins and the new epoch strictly exceeds both.
-        let mut prior_epoch = self.epoch;
-        if let Some(dir) = self.wal_dir.clone() {
+        let recovered = self.wal_dir.clone().map(|dir| {
             self.wal = None; // the old handle's position is meaningless now
-            match recover_site_state(&dir) {
-                Ok((st, _scan)) => {
-                    prior_epoch = prior_epoch.max(st.epoch);
-                    self.seq = st.next_seq;
-                    self.window.unacked = st.retx;
-                    self.pending = st.staged;
+            let st = match recover_site_state(&dir) {
+                Ok((st, _scan)) => st,
+                Err(e) => {
+                    self.wal_io_error(e);
+                    SiteWalState::default()
                 }
-                Err(e) => self.wal_io_error(e),
-            }
-        }
-        self.epoch = prior_epoch + 1;
-        // Retag the recovered backlog to the new epoch (the coordinator
-        // drops anything older). A recovered Hello from a *previous*
-        // restart must not announce this epoch a second time — it degrades
-        // to a heartbeat in the same sequence slot, which keeps the slot
-        // filled and still carries its watermark promise.
-        for m in self.window.unacked.values_mut() {
-            match m {
-                Msg::Event { epoch, .. }
-                | Msg::Heartbeat { epoch, .. }
-                | Msg::Batch { epoch, .. } => {
-                    *epoch = self.epoch;
-                }
-                Msg::Hello { seq, watermark, .. } => {
-                    *m = Msg::Heartbeat {
-                        seq: *seq,
-                        epoch: self.epoch,
-                        watermark: *watermark,
-                    };
-                }
-                _ => {}
-            }
-        }
-        if let Some(dir) = self.wal_dir.clone() {
-            let img = SiteWalState {
-                epoch: self.epoch,
-                next_seq: self.seq,
-                retx: self.window.unacked.clone(),
-                staged: self.pending.clone(),
             };
-            match Self::rewrite_wal(&dir, &img) {
+            (dir, st)
+        });
+        let prior_epoch = recovered.as_ref().map_or(0, |(_, st)| st.epoch);
+        self.epoch = self.epoch.max(prior_epoch) + 1;
+        if let Some((dir, mut st)) = recovered {
+            // Retag the recovered backlog to the new epoch (the receiver
+            // drops anything older). A recovered Hello from a *previous*
+            // restart must not announce this epoch a second time — it
+            // degrades to an empty batch in the same sequence slot, which
+            // keeps the slot filled and still carries its watermark.
+            st.epoch = self.epoch;
+            for m in st.retx.values_mut() {
+                match m {
+                    Msg::Event { epoch, .. } | Msg::Batch { epoch, .. } => *epoch = st.epoch,
+                    Msg::Hello { seq, watermark, .. } => {
+                        *m = Msg::Batch {
+                            seq: *seq,
+                            epoch: st.epoch,
+                            watermark: *watermark,
+                            events: Arc::new(Vec::new()),
+                        };
+                    }
+                    _ => {}
+                }
+            }
+            match Self::rewrite_wal(&dir, &st) {
                 Ok(w) => self.wal = Some(w),
                 Err(e) => self.wal_io_error(e),
             }
+            // Site durability runs on the coordinator link alone.
+            let link = &mut self.links[0];
+            link.seq = st.next_seq;
+            link.window.unacked = st.retx;
+            link.staged = Staged::Batch(st.staged);
         }
-        if self.partitioned() {
-            // Partitioned restarts are always non-durable (site durability
-            // and replica uplinks are mutually exclusive): each uplink's
-            // stream restarts at sequence 0 in the new epoch, announced by
-            // its own Hello. The stamp ordinal is NOT reset — it survives
-            // like the epoch, so new root keys sort after the dead
-            // incarnation's.
-            for up in &mut self.uplinks {
-                up.seq = 0;
-                up.staged.clear();
-                up.window = SendWindow::new(self.retx_base);
-            }
-            let watermark = ctx.stamp().map(|p| p.global.get()).unwrap_or(0);
-            let epoch = self.epoch;
-            for u in 0..self.uplinks.len() {
-                self.send_uplink(
-                    u,
-                    Msg::Hello {
-                        seq: 0,
-                        epoch,
-                        watermark,
-                    },
-                    ctx,
-                );
-            }
-            let (interval, tag) = if self.batching() {
-                (self.batch_interval, BATCH_TAG)
-            } else {
-                (self.heartbeat_interval, HEARTBEAT_TAG)
-            };
-            ctx.set_timer(interval, self.gen_tag(tag));
-            return;
-        }
-        // Announce the incarnation. The watermark falls back to 0 (always
-        // a valid promise) if the site clock has not started yet. The
-        // backlog burst is snapshotted first so it excludes the Hello
-        // itself, but sent after it: on in-order links the epoch
-        // transition precedes every retagged message.
-        let burst: Vec<Msg> = self
-            .window
-            .unacked
-            .values()
-            .take(RETX_BURST)
-            .cloned()
-            .collect();
+        // Announce the incarnation on every link. The watermark falls back
+        // to 0 (always a valid promise) if the site clock has not started
+        // yet. Each backlog burst is snapshotted first so it excludes the
+        // Hello itself, but sent after it.
         let watermark = ctx.stamp().map(|p| p.global.get()).unwrap_or(0);
-        let seq = self.next_seq();
         let epoch = self.epoch;
-        self.send_seq(
-            seq,
-            Msg::Hello {
-                seq,
-                epoch,
-                watermark,
-            },
-            ctx,
-        );
-        for m in burst {
-            self.retransmits += 1;
-            ctx.send(self.coordinator, m);
+        for u in 0..self.links.len() {
+            let link = &self.links[u];
+            let to = link.node;
+            let burst: Vec<Msg> = link
+                .window
+                .unacked
+                .values()
+                .take(RETX_BURST)
+                .cloned()
+                .collect();
+            self.send(
+                u,
+                |seq| Msg::Hello {
+                    seq,
+                    epoch,
+                    watermark,
+                },
+                ctx,
+            );
+            self.retransmits += burst.len() as u64;
+            for m in burst {
+                ctx.send(to, m);
+            }
         }
         // Restart the beacon chain in the new timer generation. No
         // immediate beacon: the Hello already carried the watermark.
-        if self.batching() {
-            ctx.set_timer(self.batch_interval, self.gen_tag(BATCH_TAG));
-        } else {
-            ctx.set_timer(self.heartbeat_interval, self.gen_tag(HEARTBEAT_TAG));
-        }
+        ctx.set_timer(self.beacon_interval, self.gen_tag(BEACON_TAG));
     }
 }
 
@@ -928,13 +831,7 @@ impl Actor for SiteNode {
         match msg {
             Msg::Start => {
                 debug_assert_eq!(from, ctx.me());
-                if self.partitioned() {
-                    self.routed_beacon(ctx);
-                } else if self.batching() {
-                    self.flush_batch(ctx);
-                } else {
-                    self.heartbeat(ctx);
-                }
+                self.beacon(ctx);
             }
             Msg::Crash => {
                 self.crashed = true;
@@ -972,7 +869,6 @@ impl Actor for SiteNode {
             } => self.on_ack(from, cum_seq, epoch, sack, ctx),
             // Sites do not receive protocol traffic in the star topology.
             Msg::Event { .. }
-            | Msg::Heartbeat { .. }
             | Msg::Batch { .. }
             | Msg::Hello { .. }
             | Msg::Evict { .. }
@@ -985,30 +881,20 @@ impl Actor for SiteNode {
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_, Msg>) {
         // Timers armed by a previous incarnation fire into the void: the
-        // new incarnation re-armed its own heartbeat/batch/retransmit
-        // chains at restart, and honoring a stale fire would double them.
+        // new incarnation re-armed its own beacon/retransmit chains at
+        // restart, and honoring a stale fire would double them.
         if (tag >> GEN_SHIFT) != self.gen {
             return;
         }
         let tag = tag & TAG_MASK;
-        if tag == HEARTBEAT_TAG || tag == BATCH_TAG {
-            if self.partitioned() {
-                self.routed_beacon(ctx);
-            } else if tag == HEARTBEAT_TAG {
-                self.heartbeat(ctx);
-            } else {
-                self.flush_batch(ctx);
-            }
+        if tag == BEACON_TAG {
+            self.beacon(ctx);
             return;
         }
-        if tag == RETX_TAG {
-            self.retransmit_round(Stream::Classic, ctx);
-            return;
-        }
-        if (PART_RETX_BASE..LOCAL_TIMER_BASE).contains(&tag) {
-            let u = (tag - PART_RETX_BASE) as usize;
-            if u < self.uplinks.len() {
-                self.retransmit_round(Stream::Uplink(u), ctx);
+        if tag < LOCAL_TIMER_BASE {
+            let u = (tag - RETX_BASE) as usize;
+            if u < self.links.len() {
+                self.retransmit_round(u, ctx);
             }
             return;
         }
@@ -1046,10 +932,20 @@ mod tests {
         std::sync::Arc<Vec<Occurrence<CompositeTimestamp>>>,
     );
 
+    impl Collector {
+        /// (seq, watermark) of every empty batch: the per-event beacons.
+        fn heartbeats(&self) -> Vec<(u64, u64)> {
+            self.batches
+                .iter()
+                .filter(|(_, _, events)| events.is_empty())
+                .map(|&(seq, watermark, _)| (seq, watermark))
+                .collect()
+        }
+    }
+
     #[derive(Debug, Default)]
     struct Collector {
         events: Vec<(u64, Occurrence<CompositeTimestamp>)>,
-        heartbeats: Vec<(u64, u64)>,
         batches: Vec<ReceivedBatch>,
         /// (seq, epoch, watermark) of every Hello received.
         hellos: Vec<(u64, u64, u64)>,
@@ -1061,7 +957,6 @@ mod tests {
         fn on_message(&mut self, _from: NodeIdx, msg: Msg, _ctx: &mut Ctx<'_, Msg>) {
             match msg {
                 Msg::Event { seq, occ, .. } => self.events.push((seq, occ)),
-                Msg::Heartbeat { seq, watermark, .. } => self.heartbeats.push((seq, watermark)),
                 Msg::Batch {
                     seq,
                     watermark,
@@ -1156,21 +1051,23 @@ mod tests {
         assert_eq!(member.site().get(), 0);
         assert_eq!(member.global().get(), 10);
         assert_eq!(member.local().get(), 100);
-        // ~20 heartbeats over 2 s at 100 ms.
-        assert!(c.heartbeats.len() >= 19, "{}", c.heartbeats.len());
+        // ~20 heartbeats over 2 s at 100 ms, each an empty batch.
+        let heartbeats = c.heartbeats();
+        assert!(heartbeats.len() >= 19, "{}", heartbeats.len());
+        assert_eq!(heartbeats.len(), c.batches.len());
         // Sequence numbers strictly increase across the shared stream.
         let mut seqs: Vec<u64> = c
             .events
             .iter()
             .map(|(s, _)| *s)
-            .chain(c.heartbeats.iter().map(|(s, _)| *s))
+            .chain(heartbeats.iter().map(|(s, _)| *s))
             .collect();
         seqs.sort_unstable();
         for (i, s) in seqs.iter().enumerate() {
             assert_eq!(*s, i as u64);
         }
         // Watermarks are non-decreasing.
-        let w: Vec<u64> = c.heartbeats.iter().map(|(_, w)| *w).collect();
+        let w: Vec<u64> = heartbeats.iter().map(|(_, w)| *w).collect();
         assert!(w.windows(2).all(|p| p[0] <= p[1]));
     }
 
@@ -1204,11 +1101,11 @@ mod tests {
         let Node::Collector(c) = sim.node(coord) else {
             panic!("collector expected")
         };
-        // Batching mode: no Event or Heartbeat traffic at all.
+        // Batching mode: no Event traffic at all, and no heartbeats beside
+        // the flushes: ~20 batches over 2 s at 100 ms, one per flush.
         assert!(c.events.is_empty());
-        assert!(c.heartbeats.is_empty());
-        // ~20 batches over 2 s at 100 ms; both events ride one batch.
-        assert!(c.batches.len() >= 19, "{}", c.batches.len());
+        assert!((19..=21).contains(&c.batches.len()), "{}", c.batches.len());
+        // Both events ride one batch.
         let sizes: Vec<usize> = c.batches.iter().map(|(_, _, e)| e.len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 2);
         assert!(sizes.contains(&2), "{sizes:?}");
@@ -1346,11 +1243,8 @@ mod tests {
         assert_eq!(c.events.len(), 2);
         // Heartbeats resumed after the restart, and the old incarnation's
         // chain did not double the cadence: ~11 pre-crash + ~9 post-restart.
-        assert!(
-            (18..=22).contains(&c.heartbeats.len()),
-            "{} heartbeats",
-            c.heartbeats.len()
-        );
+        let heartbeats = c.heartbeats().len();
+        assert!((18..=22).contains(&heartbeats), "{heartbeats} heartbeats");
     }
 
     #[test]
@@ -1388,7 +1282,7 @@ mod tests {
         };
         assert_eq!(s.wal_errors, 0, "{:?}", s.wal_failed());
         assert_eq!(s.epoch(), 1);
-        // The crashed incarnation's unacked window (events + heartbeats,
+        // The crashed incarnation's unacked window (events + beacons,
         // nothing was ever acked) survived, plus the new Hello.
         assert!(s.unacked() > 2, "recovered {} unacked", s.unacked());
         let Node::Collector(c) = sim.node(coord) else {
@@ -1413,16 +1307,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A window holding heartbeats `seqs`, armed at backoff 100 ms.
+    /// A window holding heartbeats (empty batches) `seqs`, armed at
+    /// backoff 100 ms.
     fn window(seqs: std::ops::Range<u64>) -> SendWindow {
         let mut w = SendWindow::new(Nanos::from_millis(100));
         for seq in seqs {
             w.retain(
                 seq,
-                Msg::Heartbeat {
+                Msg::Batch {
                     seq,
                     epoch: 0,
                     watermark: 0,
+                    events: Arc::new(Vec::new()),
                 },
             );
         }
@@ -1432,7 +1328,7 @@ mod tests {
     fn seqs(msgs: &[Msg]) -> Vec<u64> {
         msgs.iter()
             .map(|m| match m {
-                Msg::Heartbeat { seq, .. } => *seq,
+                Msg::Batch { seq, .. } => *seq,
                 other => panic!("unexpected {other:?}"),
             })
             .collect()

@@ -3,7 +3,7 @@
 //! composites built on top of them — the paper's two-level architecture.
 
 use decs_chronos::{Granularity, Nanos};
-use decs_distrib::{Engine, EngineConfig};
+use decs_distrib::{Engine, EngineConfig, ReleasePolicy};
 use decs_simnet::{Scenario, ScenarioBuilder};
 use decs_snoop::{Context, EventExpr as E};
 
@@ -239,4 +239,104 @@ fn restarted_site_forgets_its_partial_local_match() {
         want.iter().map(key).collect::<Vec<_>>()
     );
     assert_eq!(crashed.local_detections(0), fresh.local_detections(0));
+}
+
+#[test]
+fn local_arrivals_interleave_with_global_detections_in_release_order() {
+    let pinned = [
+        ("any_pair", "{(s0, 12, 122)}"),
+        ("round_trip", "{(s0, 12, 122)}"),
+        ("both", "{(s0, 12, 122)}"),
+        ("both", "{(s0, 12, 122), (s1, 12, 122)}"),
+        ("any_pair", "{(s1, 12, 122)}"),
+        ("round_trip", "{(s1, 12, 122)}"),
+        ("both", "{(s1, 12, 122)}"),
+        ("trip_then_req", "{(s0, 14, 146)}"),
+        ("trip_then_req", "{(s1, 14, 144)}"),
+        ("any_pair", "{(s0, 17, 170)}"),
+        ("both", "{(s0, 17, 170)}"),
+        ("round_trip", "{(s0, 17, 170)}"),
+        ("both", "{(s0, 17, 170)}"),
+        ("both", "{(s0, 17, 170), (s1, 17, 170)}"),
+        ("any_pair", "{(s1, 17, 170)}"),
+        ("round_trip", "{(s1, 17, 170)}"),
+        ("both", "{(s1, 17, 170)}"),
+        ("trip_then_req", "{(s0, 19, 195)}"),
+        ("any_pair", "{(s1, 21, 219)}"),
+        ("both", "{(s1, 21, 219)}"),
+        ("any_pair", "{(s0, 22, 221)}"),
+        ("both", "{(s0, 22, 221)}"),
+        ("round_trip", "{(s0, 22, 221)}"),
+        ("both", "{(s0, 22, 221)}"),
+        ("trip_then_req", "{(s1, 24, 244)}"),
+    ];
+    let mut want: Vec<(String, String)> = pinned
+        .iter()
+        .map(|&(name, time)| (name.to_string(), time.to_string()))
+        .collect();
+    assert_eq!(interleaved_run(ReleasePolicy::Stable), want);
+    // Immediate feeds in arrival order: only the two concurrent
+    // `trip_then_req` detections trade places.
+    want.swap(7, 8);
+    assert_eq!(interleaved_run(ReleasePolicy::Immediate), want);
+}
+
+/// Local round trips reach the coordinator as reportable arrivals while
+/// global definitions over the same primitives fire in the same release
+/// rounds: the full `(name, timestamp)` sequence pins where each arrival
+/// is reported among its neighbours' detections.
+fn interleaved_run(release_policy: ReleasePolicy) -> Vec<(String, String)> {
+    let mut e = Engine::with_local(
+        &scenario(2),
+        EngineConfig {
+            release_policy,
+            ..EngineConfig::default()
+        },
+        &["req", "resp"],
+        &[(
+            "round_trip",
+            E::seq(E::prim("req"), E::prim("resp")),
+            Context::Chronicle,
+        )],
+        &[
+            (
+                "any_pair",
+                E::seq(E::prim("req"), E::prim("resp")),
+                Context::Recent,
+            ),
+            (
+                "trip_then_req",
+                E::seq(E::prim("round_trip"), E::prim("req")),
+                Context::Chronicle,
+            ),
+            (
+                "both",
+                E::and(E::prim("round_trip"), E::prim("resp")),
+                Context::Recent,
+            ),
+        ],
+    )
+    .unwrap();
+    let schedule: [(u64, u32, &str); 12] = [
+        (1_000, 0, "req"),
+        (1_010, 1, "req"),
+        (1_220, 0, "resp"),
+        (1_230, 1, "resp"),
+        (1_450, 1, "req"),
+        (1_460, 0, "req"),
+        (1_700, 0, "resp"),
+        (1_705, 1, "resp"),
+        (1_950, 0, "req"),
+        (2_200, 1, "resp"),
+        (2_210, 0, "resp"),
+        (2_450, 1, "req"),
+    ];
+    for (ms, site, name) in schedule {
+        e.inject(Nanos::from_millis(ms), site, name, vec![])
+            .unwrap();
+    }
+    e.run_for(Nanos::from_secs(5))
+        .into_iter()
+        .map(|d| (d.name, d.occ.time.to_string()))
+        .collect()
 }

@@ -154,59 +154,6 @@ impl CentralDetector {
         self.feed(name, tick, Vec::new())
     }
 
-    /// Feed a whole batch of `(name, tick, values)` triples (ticks
-    /// non-decreasing). Semantically identical to calling [`Self::feed`]
-    /// on each triple in order. Timer-free definition sets are fed through
-    /// [`PlanDetector::feed_batch`] in stretches split at due-timer
-    /// boundaries. Definition sets with temporal operators arm timers whose
-    /// due ticks derive from the arming occurrence, so they keep the
-    /// ordered per-occurrence path.
-    pub fn feed_batch(
-        &mut self,
-        batch: Vec<(&str, u64, Vec<Value>)>,
-    ) -> Result<Vec<Occurrence<CentralTime>>> {
-        // Resolve every name first so an unknown name fails atomically,
-        // before any state changes.
-        let mut occs = std::collections::VecDeque::with_capacity(batch.len());
-        for (name, tick, values) in batch {
-            let ty = self.catalog().lookup(name)?;
-            occs.push_back(Occurrence::primitive(ty, CentralTime(tick), values));
-        }
-        let batchable = self.min_timer_delay().is_none();
-        let mut out = Vec::new();
-        while let Some(front) = occs.front() {
-            let first = front.time.get();
-            out.extend(self.advance_to(first)?);
-            if !batchable {
-                let occ = occs.pop_front().expect("front exists");
-                self.feed_occ(occ, first, &mut out);
-                continue;
-            }
-            // No definition can arm a timer, so the only split points are
-            // the timers already queued (none, for timer-free graphs —
-            // the general form keeps the invariant obvious).
-            let next_due = self
-                .timers
-                .peek()
-                .map_or(u64::MAX, |&Reverse((due, _, _))| due);
-            let split = occs
-                .iter()
-                .position(|o| o.time.get() >= next_due)
-                .unwrap_or(occs.len())
-                .max(1);
-            let prefix: Vec<_> = occs.drain(..split).collect();
-            let last = prefix.last().expect("split ≥ 1").time.get();
-            let r = self.plan.feed_batch(prefix);
-            debug_assert!(r.timers.is_empty(), "timer-free graph armed a timer");
-            self.absorb(r, last, &mut out);
-            self.now = self.now.max(last);
-        }
-        if self.gc {
-            self.run_gc();
-        }
-        Ok(out)
-    }
-
     /// Feed a columnar batch (ticks non-decreasing). Semantically
     /// identical to materializing every row and calling [`Self::feed`] on
     /// each in order, but the hot path stays struct-of-arrays: timer-free
@@ -430,7 +377,7 @@ mod tests {
     }
 
     /// Two cross-referencing timer-free definitions plus one timer def
-    /// when `with_timers` — exercises both feed_batch arms.
+    /// when `with_timers` — exercises both feed_columnar arms.
     fn defs(with_timers: bool) -> Vec<(&'static str, EventExpr, Context)> {
         let mut defs = vec![
             ("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle),
@@ -521,20 +468,6 @@ mod tests {
             .collect()
     }
 
-    fn run_batched(with_timers: bool) -> Vec<(String, u64)> {
-        let mut d = CentralDetector::new();
-        populate(&mut d, with_timers);
-        let batch = batch_trace()
-            .into_iter()
-            .map(|(n, t)| (n, t, Vec::new()))
-            .collect();
-        let mut out = d.feed_batch(batch).unwrap();
-        out.extend(d.advance_to(100).unwrap());
-        out.iter()
-            .map(|o| (d.name_of(o).to_owned(), o.time.get()))
-            .collect()
-    }
-
     fn run_columnar(with_timers: bool) -> Vec<(String, u64)> {
         let mut d = CentralDetector::new();
         populate(&mut d, with_timers);
@@ -558,17 +491,6 @@ mod tests {
             assert_eq!(
                 run_serial(with_timers),
                 reference,
-                "with_timers={with_timers}"
-            );
-        }
-    }
-
-    #[test]
-    fn feed_batch_equals_serial_feeds() {
-        for with_timers in [false, true] {
-            assert_eq!(
-                run_batched(with_timers),
-                run_reference(with_timers),
                 "with_timers={with_timers}"
             );
         }

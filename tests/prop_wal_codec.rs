@@ -68,10 +68,11 @@ fn msg(rng: &mut SplitMix64) -> Msg {
             epoch: rng.next_range(0, 3),
             occ: occurrence(rng),
         },
-        1 => Msg::Heartbeat {
+        1 => Msg::Batch {
             seq,
             epoch: rng.next_range(0, 3),
             watermark: rng.next_range(0, 99),
+            events: std::sync::Arc::new(Vec::new()),
         },
         2 => Msg::Batch {
             seq,
