@@ -36,11 +36,11 @@ cargo run --offline --release -p decs-bench --bin chaos -- --smoke
 # baseline (fails on malformed JSON or a 50%-overlap speedup below 1.5x).
 cargo run --offline --release -p decs-bench --bin sharing -- --smoke
 
-# Ingest smoke: re-runs the columnar-vs-per-event legs (hard-asserting
-# bit-identical detections) and validates the committed
+# Ingest smoke: re-runs 5 alternating columnar/per-event leg pairs
+# (hard-asserting bit-identical detections) and validates the committed
 # BENCH_ingest.json baseline (fails on malformed JSON, a columnar
-# throughput under the 0.2 Meps floor, or — on the same machine class —
-# a >20% relative regression against the baseline).
+# throughput under the 0.2 Meps floor, or a median columnar/per-event
+# speedup below 80% of the committed one).
 cargo run --offline --release -p decs-bench --bin ingest -- --smoke
 
 # Recovery smoke: kills the coordinator mid-run at every snapshot

@@ -12,14 +12,19 @@
 //! Detections are hard-asserted identical between the oracle and the
 //! columnar leg — a mismatch is a correctness bug, not a slow run.
 //!
+//! Both modes run [`PAIRS`] alternating (per-event, columnar) leg pairs in
+//! one process. Each leg row reports its median throughput, and the
+//! columnar row's `speedup_vs_per_event` is the median of the per-pair
+//! ratios: machine-wide slowdowns move both legs of a pair together, so
+//! the ratio is what a gate can compare across runs and machines.
+//!
 //! Run: `cargo run --release -p decs-bench --bin ingest` (full, writes
 //! `BENCH_ingest.json` in the current directory).
 //! `--smoke` runs a quick pass, validates the committed
-//! `BENCH_ingest.json` (malformed JSON, a single-thread columnar
-//! throughput under the 0.2 Meps acceptance floor, or — on a comparable
-//! machine — a >20% relative regression of the current build against the
-//! committed baseline fails with a nonzero exit) and writes its own
-//! results under `target/`.
+//! `BENCH_ingest.json` (malformed JSON, a columnar throughput under the
+//! 0.2 Meps acceptance floor, or a median speedup below 80% of the
+//! committed one fails with a nonzero exit) and writes its own results
+//! under `target/`.
 
 use decs_snoop::{CentralDetector, CentralTime, Context, EventBatch, EventExpr as E, EventId};
 use std::fmt::Write as _;
@@ -27,6 +32,9 @@ use std::time::Instant;
 
 /// Definitions per configuration (the E16 shape).
 const DEFS: usize = 16;
+
+/// Alternating (per-event, columnar) leg pairs per run.
+const PAIRS: usize = 5;
 
 /// Rows staged per columnar batch. Large enough to amortize the per-call
 /// clock advance and GC sweep, small enough to stay cache-resident.
@@ -116,65 +124,61 @@ fn drive_columnar(
 struct Row {
     name: String,
     meps: f64,
+    speedup: f64,
     detections: u64,
 }
 
-/// Best-of-3 throughput for one leg (fresh detector per repetition —
-/// feeding mutates operator state), hard-asserting detections against
-/// the oracle's when one is supplied.
-fn leg(
-    name: &str,
-    events: u64,
-    columnar: bool,
-    oracle: Option<&[decs_snoop::Occurrence<CentralTime>]>,
-) -> (Row, Vec<decs_snoop::Occurrence<CentralTime>>) {
-    let mut best = 0.0f64;
-    let mut det = Vec::new();
-    for _ in 0..3 {
-        let mut d = build();
-        let (secs, out) = if columnar {
-            drive_columnar(&mut d, events)
-        } else {
-            drive_per_event(&mut d, events)
-        };
-        best = best.max(events as f64 / secs / 1e6);
-        det = out;
-    }
-    if let Some(oracle) = oracle {
-        assert_eq!(
-            det.as_slice(),
-            oracle,
-            "columnar leg `{name}` diverged from the per-event oracle"
-        );
-    }
-    (
-        Row {
-            name: name.to_string(),
-            meps: best,
-            detections: det.len() as u64,
-        },
-        det,
-    )
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
+/// [`PAIRS`] alternating leg pairs (fresh detector per leg — feeding
+/// mutates operator state), hard-asserting every columnar leg's
+/// detections against the per-event leg of its pair.
 fn run_all(events: u64) -> Vec<Row> {
-    let (oracle_row, oracle) = leg("per_event", events, false, None);
-    let (columnar, _) = leg("columnar", events, true, Some(&oracle));
-    vec![oracle_row, columnar]
+    let (mut per_event, mut columnar, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    let mut detections = 0;
+    for _ in 0..PAIRS {
+        let (secs, oracle) = drive_per_event(&mut build(), events);
+        let (csecs, det) = drive_columnar(&mut build(), events);
+        assert_eq!(
+            det, oracle,
+            "columnar leg diverged from the per-event oracle"
+        );
+        detections = det.len() as u64;
+        per_event.push(events as f64 / secs / 1e6);
+        columnar.push(events as f64 / csecs / 1e6);
+        ratios.push(secs / csecs);
+    }
+    vec![
+        Row {
+            name: "per_event".to_string(),
+            meps: median(per_event),
+            speedup: 1.0,
+            detections,
+        },
+        Row {
+            name: "columnar".to_string(),
+            meps: median(columnar),
+            speedup: median(ratios),
+            detections,
+        },
+    ]
 }
 
 fn render_json(mode: &str, events: u64, rows: &[Row]) -> String {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let base = rows[0].meps;
     let mut j = String::new();
     let _ = writeln!(j, "{{");
     let _ = writeln!(j, "  \"bench\": \"ingest\",");
-    let _ = writeln!(j, "  \"schema\": 3,");
+    let _ = writeln!(j, "  \"schema\": 4,");
     let _ = writeln!(j, "  \"mode\": \"{mode}\",");
     let _ = writeln!(j, "  \"threads\": {threads},");
     let _ = writeln!(j, "  \"defs\": {DEFS},");
     let _ = writeln!(j, "  \"batch\": {BATCH},");
     let _ = writeln!(j, "  \"events\": {events},");
+    let _ = writeln!(j, "  \"pairs\": {PAIRS},");
     let _ = writeln!(j, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -183,13 +187,10 @@ fn render_json(mode: &str, events: u64, rows: &[Row]) -> String {
         // comparability.
         let _ = writeln!(
             j,
-            "    {{\"name\": \"{}\", \"schema\": 3, \"threads\": {threads}, \
+            "    {{\"name\": \"{}\", \"schema\": 4, \"threads\": {threads}, \
              \"meps\": {:.3}, \"speedup_vs_per_event\": {:.2}, \
              \"detections\": {}}}{comma}",
-            r.name,
-            r.meps,
-            r.meps / base,
-            r.detections
+            r.name, r.meps, r.speedup, r.detections
         );
     }
     let _ = writeln!(j, "  ]");
@@ -209,16 +210,10 @@ fn extract(json: &str, name: &str, field: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-fn stamped_threads(json: &str) -> Option<usize> {
-    let at = json.find("\"threads\":")? + "\"threads\":".len();
-    let rest = &json[at..];
-    let end = rest.find([',', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn smoke(baseline_path: &str) -> i32 {
-    // A quick pass still runs every leg — `leg` hard-asserts columnar ==
-    // per-event detections, which is the smoke's real correctness gate.
+    // A quick pass still runs every leg pair — `run_all` hard-asserts
+    // columnar == per-event detections, which is the smoke's real
+    // correctness gate.
     let events = 40_000;
     let rows = run_all(events);
     let json = render_json("smoke", events, &rows);
@@ -248,32 +243,27 @@ fn smoke(baseline_path: &str) -> i32 {
         }
         None => {} // already reported as malformed above
     }
-    // Absolute Meps are only comparable on the same class of machine; the
-    // thread stamp is the proxy, matching the hotpath smoke's policy.
-    // Baselines stamp threads on every row — prefer the row-level stamp of
-    // the row actually compared, falling back to the top-level stamp for
-    // schema-1 artifacts.
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let baseline_threads = extract(&baseline, "columnar", "threads")
-        .map(|t| t as usize)
-        .or_else(|| stamped_threads(&baseline));
-    let comparable = baseline_threads == Some(threads);
-    if comparable {
-        if let Some(base) = extract(&baseline, "columnar", "meps") {
-            let now = extract(&json, "columnar", "meps").unwrap_or(0.0);
+    // The regression gate compares speedups, each a median of in-process
+    // per-pair ratios: absolute Meps on a shared 2-thread box swing by
+    // more than 20% between launches, the ratio of two alternating legs
+    // does not.
+    match extract(&baseline, "columnar", "speedup_vs_per_event") {
+        Some(base) => {
+            let now = rows[1].speedup;
             if now < 0.8 * base {
                 eprintln!(
-                    "smoke: FAIL — columnar throughput regressed {base:.3} Meps → \
-                     {now:.3} Meps (>20%)"
+                    "smoke: FAIL — columnar speedup regressed {base:.2}x → {now:.2}x \
+                     (below 80% of the baseline)"
                 );
                 failed = true;
+            } else {
+                eprintln!("smoke: columnar speedup {now:.2}x (baseline {base:.2}x)");
             }
         }
-    } else {
-        eprintln!(
-            "smoke: note — baseline ran on a different machine class; \
-             skipping the 20% regression comparison"
-        );
+        None => {
+            eprintln!("smoke: FAIL — baseline is malformed (no columnar speedup)");
+            failed = true;
+        }
     }
     if failed {
         1

@@ -25,9 +25,10 @@
 
 use crate::error::{CoreError, Result};
 use crate::primitive::PrimitiveTimestamp;
-use decs_chronos::SiteId;
+use decs_chronos::{GlobalTicks, LocalTicks, SiteId};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Definition 5.1: the set of maximal timestamps of `ST` — members not
 /// happening-before any other member. Duplicates are removed; the result is
@@ -43,61 +44,6 @@ pub fn max_set(st: &[PrimitiveTimestamp]) -> Vec<PrimitiveTimestamp> {
     out
 }
 
-/// How many members are stored inline before spilling to the heap. Member
-/// sets are tiny in practice (one per participating site, bounded by the
-/// fan-in of the event expression), so four covers the common cases.
-const INLINE_MEMBERS: usize = 4;
-
-/// Inline-first member storage: up to [`INLINE_MEMBERS`] primitive
-/// timestamps live directly in the struct (no allocation, cache-friendly);
-/// larger sets spill to a `Vec`. Always holds members in canonical sorted
-/// order; all reads go through [`MemberVec::as_slice`].
-#[derive(Debug, Clone)]
-enum MemberVec {
-    Inline {
-        len: u8,
-        buf: [PrimitiveTimestamp; INLINE_MEMBERS],
-    },
-    Heap(Vec<PrimitiveTimestamp>),
-}
-
-impl MemberVec {
-    /// Padding value for unused inline slots; never observable through
-    /// `as_slice`.
-    const FILL: PrimitiveTimestamp = PrimitiveTimestamp::new(
-        SiteId(0),
-        decs_chronos::GlobalTicks(0),
-        decs_chronos::LocalTicks(0),
-    );
-
-    fn from_sorted(v: Vec<PrimitiveTimestamp>) -> Self {
-        if v.len() <= INLINE_MEMBERS {
-            let mut buf = [Self::FILL; INLINE_MEMBERS];
-            buf[..v.len()].copy_from_slice(&v);
-            MemberVec::Inline {
-                len: v.len() as u8,
-                buf,
-            }
-        } else {
-            MemberVec::Heap(v)
-        }
-    }
-
-    fn as_slice(&self) -> &[PrimitiveTimestamp] {
-        match self {
-            MemberVec::Inline { len, buf } => &buf[..*len as usize],
-            MemberVec::Heap(v) => v,
-        }
-    }
-
-    fn into_vec(self) -> Vec<PrimitiveTimestamp> {
-        match self {
-            MemberVec::Inline { len, buf } => buf[..len as usize].to_vec(),
-            MemberVec::Heap(v) => v,
-        }
-    }
-}
-
 /// All construction-time caches of a [`CompositeTimestamp`], computed in
 /// two linear passes over the canonical member slice (the second pass only
 /// exists to make the "excluding the achieving site" bounds exact when
@@ -106,9 +52,18 @@ struct Caches {
     min_global: u64,
     max_global: u64,
     site_mask: u64,
+    /// Site of (one member achieving) `min_global` / `max_global`, plus the
+    /// band bounds recomputed over all members *not* at that site. Together
+    /// these answer `min/max_global_excluding(s)` for any `s` in O(1):
+    /// if `s` differs from the achieving site the full-band bound stands,
+    /// otherwise the second-order bound is exact by definition.
     min_site: SiteId,
     max_site: SiteId,
+    /// `u64::MAX` when every member sits at `min_site` (no outside member).
     min2_global: u64,
+    /// `0` when every member sits at `max_site`; safe as a sentinel because
+    /// the kernels only compare it as a *dominator* bound (`g + 1 < max2`),
+    /// which no global tick satisfies against 0.
     max2_global: u64,
 }
 
@@ -153,6 +108,36 @@ impl Caches {
             max2_global,
         }
     }
+
+    /// The caches as the [`SUMMARY`] head entries of a wide block:
+    /// `(min_site, min_global, min2_global)`,
+    /// `(max_site, max_global, max2_global)` and `(s0, site_mask, 0)`.
+    fn summary(&self) -> [PrimitiveTimestamp; SUMMARY] {
+        let entry = |site, a, b| PrimitiveTimestamp::new(site, GlobalTicks(a), LocalTicks(b));
+        [
+            entry(self.min_site, self.min_global, self.min2_global),
+            entry(self.max_site, self.max_global, self.max2_global),
+            entry(SiteId(0), self.site_mask, 0),
+        ]
+    }
+}
+
+/// Head entries of a wide block that hold its [`Caches`] (see [`Repr`]).
+const SUMMARY: usize = 3;
+
+/// Storage of a [`CompositeTimestamp`]. Member sets are tiny in practice
+/// (one per participating site, bounded by the fan-in of the event
+/// expression; 1.33 on average in the end-to-end benchmark), so the
+/// singleton lives inline and everything wider is one shared block.
+#[derive(Clone)]
+enum Repr {
+    /// A one-member set. Its caches are derived on demand, with exactly the
+    /// values [`Caches::compute`] gives for a single member.
+    One(PrimitiveTimestamp),
+    /// Two or more members, in a single reference-counted allocation:
+    /// [`SUMMARY`] entries encoding the [`Caches`], then the canonical
+    /// members. A clone is a reference-count increment.
+    Many(Arc<[PrimitiveTimestamp]>),
 }
 
 /// One per-site entry of a composite timestamp's **version-vector
@@ -216,7 +201,9 @@ impl Iterator for SiteRuns<'_> {
 ///
 /// Members are stored sorted in the canonical container order (site, then
 /// global, then local), so equal timestamp sets compare equal with `==`.
-/// Sets of up to four members are stored inline (no heap allocation).
+/// The value is 32 bytes: a one-member set is stored inline, and a wider
+/// set is one reference-counted block shared by every clone, so cloning
+/// never allocates and building a wide set allocates exactly once.
 ///
 /// Derived quantities are cached at construction so the hot comparison
 /// kernels ([`crate::ordering`], [`crate::join`]) can decide most relations
@@ -239,35 +226,24 @@ impl Iterator for SiteRuns<'_> {
 ///   sorted `(site, local, min_global, max_global)` vector by walking the
 ///   member slice — it costs nothing at construction, nothing to clone,
 ///   and can never drift out of sync with the members.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct CompositeTimestamp {
-    members: MemberVec,
-    min_global: u64,
-    max_global: u64,
-    site_mask: u64,
-    /// Site of (one member achieving) `min_global` / `max_global`, plus the
-    /// band bounds recomputed over all members *not* at that site. Together
-    /// these answer `min/max_global_excluding(s)` for any `s` in O(1):
-    /// if `s` differs from the achieving site the full-band bound stands,
-    /// otherwise the second-order bound is exact by definition.
-    min_site: SiteId,
-    max_site: SiteId,
-    /// `u64::MAX` when every member sits at `min_site` (no outside member).
-    min2_global: u64,
-    /// `0` when every member sits at `max_site`; safe as a sentinel because
-    /// the kernels only compare it as a *dominator* bound (`g + 1 < max2`),
-    /// which no global tick satisfies against 0.
-    max2_global: u64,
+    repr: Repr,
 }
+
+// Every layer copies stamps by value (occurrences, messages, detections):
+// the compact layout is the point of the representation.
+const _: () = assert!(std::mem::size_of::<CompositeTimestamp>() <= 32);
 
 impl PartialEq for CompositeTimestamp {
     fn eq(&self, other: &Self) -> bool {
-        // Caches are pure functions of the members; comparing them first is
-        // a cheap reject.
-        self.site_mask == other.site_mask
-            && self.min_global == other.min_global
-            && self.max_global == other.max_global
-            && self.members.as_slice() == other.members.as_slice()
+        match (&self.repr, &other.repr) {
+            (Repr::One(a), Repr::One(b)) => a == b,
+            // The summary is a pure function of the members.
+            (Repr::Many(a), Repr::Many(b)) => a[SUMMARY..] == b[SUMMARY..],
+            // A one-member set is always stored as `One`.
+            _ => false,
+        }
     }
 }
 
@@ -275,25 +251,27 @@ impl Eq for CompositeTimestamp {}
 
 impl Hash for CompositeTimestamp {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Hash exactly what the pre-cache derive hashed (the member list),
-        // so hashes stay stable across the layout change.
-        self.members.as_slice().hash(state);
+        // Hash exactly the member list, whatever the storage, so hashes
+        // match a bare member slice.
+        self.members().hash(state);
+    }
+}
+
+impl fmt::Debug for CompositeTimestamp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CompositeTimestamp")
+            .field("members", &self.members())
+            .finish()
     }
 }
 
 impl CompositeTimestamp {
-    /// Internal constructor: takes a member list already in canonical form
-    /// (sorted, deduped, maximal) and computes the cached bounds/bitmap.
-    fn from_sorted_members(members: Vec<PrimitiveTimestamp>) -> Self {
-        let caches = Caches::compute(&members);
-        Self::assemble(MemberVec::from_sorted(members), caches)
-    }
-
     /// Alloc-conscious internal constructor for the join kernels: builds
-    /// from a borrowed canonical slice (sorted, deduped, maximal), copying
-    /// into the inline buffer when it fits — a result of ≤ 4 members costs
-    /// no allocation at all, which is what lets [`crate::join::max_op`]
-    /// stage its merge in a reusable scratch buffer.
+    /// from a borrowed canonical slice (sorted, deduped, maximal). A
+    /// one-member result is stored inline (no allocation); a wider one
+    /// costs exactly one allocation, its shared block — which is what lets
+    /// [`crate::join::max_op`] stage its merge in a reusable scratch
+    /// buffer.
     pub(crate) fn from_canonical_slice(members: &[PrimitiveTimestamp]) -> Self {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "not canonical");
         // Pairwise concurrency ⟺ maximality for a sorted deduped set; the
@@ -306,37 +284,30 @@ impl CompositeTimestamp {
                 .all(|(i, a)| members[i + 1..].iter().all(|b| a.concurrent(b))),
             "not a maximal set"
         );
-        let caches = Caches::compute(members);
-        let members = if members.len() <= INLINE_MEMBERS {
-            let mut buf = [MemberVec::FILL; INLINE_MEMBERS];
-            buf[..members.len()].copy_from_slice(members);
-            MemberVec::Inline {
-                len: members.len() as u8,
-                buf,
-            }
+        let repr = if let [one] = members {
+            Repr::One(*one)
         } else {
-            MemberVec::Heap(members.to_vec())
+            let summary = Caches::compute(members).summary();
+            // An exact-length chain: `Arc<[_]>` collects it in place, one
+            // allocation.
+            Repr::Many(summary.into_iter().chain(members.iter().copied()).collect())
         };
-        Self::assemble(members, caches)
-    }
-
-    fn assemble(members: MemberVec, caches: Caches) -> Self {
-        CompositeTimestamp {
-            members,
-            min_global: caches.min_global,
-            max_global: caches.max_global,
-            site_mask: caches.site_mask,
-            min_site: caches.min_site,
-            max_site: caches.max_site,
-            min2_global: caches.min2_global,
-            max2_global: caches.max2_global,
-        }
+        CompositeTimestamp { repr }
     }
 
     /// A composite timestamp with a single member — the form every
     /// primitive event's timestamp takes when it enters the composite world.
-    pub fn singleton(t: PrimitiveTimestamp) -> Self {
-        Self::from_sorted_members(vec![t])
+    pub const fn singleton(t: PrimitiveTimestamp) -> Self {
+        CompositeTimestamp { repr: Repr::One(t) }
+    }
+
+    /// The member when this is a one-member set. The relation kernels
+    /// decide a pair of singletons directly from their parts.
+    pub(crate) fn as_singleton(&self) -> Option<&PrimitiveTimestamp> {
+        match &self.repr {
+            Repr::One(t) => Some(t),
+            Repr::Many(_) => None,
+        }
     }
 
     /// Build from constituent primitive timestamps, normalizing through
@@ -356,7 +327,7 @@ impl CompositeTimestamp {
         if members.is_empty() {
             return Err(CoreError::CyclicMembers);
         }
-        Ok(Self::from_sorted_members(members))
+        Ok(Self::from_canonical_slice(&members))
     }
 
     /// Build from constituent primitive timestamps, normalizing through
@@ -374,12 +345,18 @@ impl CompositeTimestamp {
 
     /// The members, sorted in canonical order.
     pub fn members(&self) -> &[PrimitiveTimestamp] {
-        self.members.as_slice()
+        match &self.repr {
+            Repr::One(t) => std::slice::from_ref(t),
+            Repr::Many(block) => &block[SUMMARY..],
+        }
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.members.as_slice().len()
+        match &self.repr {
+            Repr::One(_) => 1,
+            Repr::Many(block) => block.len() - SUMMARY,
+        }
     }
 
     /// Composite timestamps are never empty, but the idiomatic pair of
@@ -390,19 +367,19 @@ impl CompositeTimestamp {
 
     /// Iterate over members.
     pub fn iter(&self) -> impl Iterator<Item = &PrimitiveTimestamp> {
-        self.members.as_slice().iter()
+        self.members().iter()
     }
 
     /// Whether `t` is one of the members.
     pub fn contains(&self, t: &PrimitiveTimestamp) -> bool {
-        self.members.as_slice().binary_search(t).is_ok()
+        self.members().binary_search(t).is_ok()
     }
 
     /// Theorem 5.1 / Definition 5.2 invariant check: all members pairwise
     /// concurrent and none dominated. Always true for values built through
     /// the public constructors; exposed for property tests and debugging.
     pub fn invariant_holds(&self) -> bool {
-        let members = self.members.as_slice();
+        let members = self.members();
         !members.is_empty()
             && members
                 .iter()
@@ -413,12 +390,18 @@ impl CompositeTimestamp {
     /// The largest global tick among members — an upper anchor used by
     /// watermark logic and the Figure 2 lines. Cached at construction: O(1).
     pub fn max_global(&self) -> u64 {
-        self.max_global
+        match &self.repr {
+            Repr::One(t) => t.global().get(),
+            Repr::Many(block) => block[1].global().get(),
+        }
     }
 
     /// The smallest global tick among members. Cached at construction: O(1).
     pub fn min_global(&self) -> u64 {
-        self.min_global
+        match &self.repr {
+            Repr::One(t) => t.global().get(),
+            Repr::Many(block) => block[0].global().get(),
+        }
     }
 
     /// Bloom-style bitmap of member sites: bit `site % 64` is set for every
@@ -428,7 +411,10 @@ impl CompositeTimestamp {
     /// prove nothing (two different sites can share a bit); callers must
     /// fall back to the member scan.
     pub fn site_mask(&self) -> u64 {
-        self.site_mask
+        match &self.repr {
+            Repr::One(t) => 1u64 << (t.site().get() % 64),
+            Repr::Many(block) => block[2].global().get(),
+        }
     }
 
     /// The per-site **version-vector summary**: one [`SiteRun`] per member
@@ -439,7 +425,7 @@ impl CompositeTimestamp {
     /// built on this view.
     pub fn site_runs(&self) -> SiteRuns<'_> {
         SiteRuns {
-            rest: self.members.as_slice(),
+            rest: self.members(),
         }
     }
 
@@ -451,10 +437,14 @@ impl CompositeTimestamp {
     /// `self.min_global_excluding(site) + 1` (saturating) is below its
     /// global tick.
     pub fn min_global_excluding(&self, site: SiteId) -> u64 {
-        if site == self.min_site {
-            self.min2_global
+        let (edge, outside) = match &self.repr {
+            Repr::One(t) => (t, u64::MAX),
+            Repr::Many(block) => (&block[0], block[0].local().get()),
+        };
+        if site == edge.site() {
+            outside
         } else {
-            self.min_global
+            edge.global().get()
         }
     }
 
@@ -462,17 +452,21 @@ impl CompositeTimestamp {
     /// member exists (safe: the kernels only use it as a strict dominator
     /// bound `g + 1 < max`, which never holds against 0). O(1).
     pub fn max_global_excluding(&self, site: SiteId) -> u64 {
-        if site == self.max_site {
-            self.max2_global
+        let (edge, outside) = match &self.repr {
+            Repr::One(t) => (t, 0),
+            Repr::Many(block) => (&block[1], block[1].local().get()),
+        };
+        if site == edge.site() {
+            outside
         } else {
-            self.max_global
+            edge.global().get()
         }
     }
 
     /// `Some(site)` when every member occurred at the same site (members
     /// are sorted by site first, so first == last suffices), else `None`.
     pub fn single_site(&self) -> Option<SiteId> {
-        let members = self.members.as_slice();
+        let members = self.members();
         let first = members[0].site();
         if members[members.len() - 1].site() == first {
             Some(first)
@@ -483,7 +477,7 @@ impl CompositeTimestamp {
 
     /// Consume into the member vector.
     pub fn into_members(self) -> Vec<PrimitiveTimestamp> {
-        self.members.into_vec()
+        self.members().to_vec()
     }
 }
 
@@ -714,7 +708,8 @@ mod tests {
 
     #[test]
     fn inline_to_heap_spill_is_transparent() {
-        // 5 pairwise-concurrent members: one past the inline capacity.
+        // A singleton is stored inline, wider sets in a shared block; the
+        // storage must be invisible at every width.
         let big = cts(&[(1, 8, 80), (2, 8, 81), (3, 9, 90), (4, 8, 82), (5, 9, 91)]);
         assert_eq!(big.len(), 5);
         assert!(big.invariant_holds());
@@ -835,7 +830,7 @@ mod tests {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
         // The cached bounds must not contribute to the hash: equal member
-        // lists (however stored — inline or heap) hash identically to the
+        // lists (however stored — inline or shared) hash identically to the
         // bare slice, as the pre-cache derive did.
         let c = cts(&[(3, 8, 81), (6, 7, 72)]);
         let mut h1 = DefaultHasher::new();

@@ -39,9 +39,9 @@ use std::cell::RefCell;
 thread_local! {
     /// Reusable staging buffer for [`max_op`]'s survivor merge. The merge
     /// writes the canonical result members here, then copies them into the
-    /// result's inline buffer (≤ 4 members: zero allocations) or a single
-    /// exact-size heap vec — the per-call `T1 ∪ T2` materialization and the
-    /// `max_set` re-sort of the naive path are gone entirely.
+    /// result: inline for one member (zero allocations), else one shared
+    /// block (one allocation) — the per-call `T1 ∪ T2` materialization and
+    /// the `max_set` re-sort of the naive path are gone entirely.
     static MAX_SCRATCH: RefCell<Vec<PrimitiveTimestamp>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -91,6 +91,17 @@ pub fn join_incomparable(t1: &CompositeTimestamp, t2: &CompositeTimestamp) -> Co
 /// branches only in *keeping* undominated members the case analysis would
 /// discard (see the module docs).
 pub fn max_op(t1: &CompositeTimestamp, t2: &CompositeTimestamp) -> CompositeTimestamp {
+    // Two singletons: the later one if the pair is ordered, else both
+    // (one, if they are the same stamp).
+    if let (Some(a), Some(b)) = (t1.as_singleton(), t2.as_singleton()) {
+        return if a.happens_before(b) {
+            t2.clone()
+        } else if b.happens_before(a) || a == b {
+            t1.clone()
+        } else {
+            CompositeTimestamp::from_canonical_slice(&[*a.min(b), *a.max(b)])
+        };
+    }
     // Band-dominance fast path (exact): with disjoint site masks every
     // member pair is cross-site, so a band gap of more than one global tick
     // means every member of the earlier side is dominated by every member

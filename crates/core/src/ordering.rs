@@ -41,8 +41,12 @@ impl CompositeTimestamp {
     ///
     /// Anything else runs the O(|sites|) version-vector merge-walk
     /// ([`Self::happens_before_vv`]) — the literal `∀∃` scan survives only
-    /// as the oracle ([`Self::happens_before_naive`]).
+    /// as the oracle ([`Self::happens_before_naive`]). Two singletons, the
+    /// common pair, are decided first by the primitive relation itself.
     pub fn happens_before(&self, other: &Self) -> bool {
+        if let (Some(a), Some(b)) = (self.as_singleton(), other.as_singleton()) {
+            return a.happens_before(b);
+        }
         if self.site_mask() & other.site_mask() == 0 {
             return self.min_global() + 1 < other.min_global();
         }
@@ -131,8 +135,12 @@ impl CompositeTimestamp {
     /// With overlapping masks, band separation refutes concurrency as soon
     /// as any cross-site pair exists (both sets single-site on the *same*
     /// site is the only shape without one). Everything else runs the
-    /// O(|sites|) merge-walk ([`Self::concurrent_vv`]).
+    /// O(|sites|) merge-walk ([`Self::concurrent_vv`]). Two singletons
+    /// are decided by the primitive relation.
     pub fn concurrent(&self, other: &Self) -> bool {
+        if let (Some(a), Some(b)) = (self.as_singleton(), other.as_singleton()) {
+            return a.concurrent(b);
+        }
         if self.site_mask() & other.site_mask() == 0 {
             return self.max_global() <= other.min_global().saturating_add(1)
                 && other.max_global() <= self.min_global().saturating_add(1);
@@ -206,8 +214,12 @@ impl CompositeTimestamp {
     /// Fast path (exact): with disjoint site masks, `t1 ⪯ t2 ⇔ ¬(t2 < t1)
     /// ⇔ g1 ≤ g2 + 1`, so the all-pairs condition collapses to
     /// `max_global(self) ≤ min_global(other) + 1`. Overlapping masks run
-    /// the O(|sites|) merge-walk ([`Self::weak_leq_vv`]).
+    /// the O(|sites|) merge-walk ([`Self::weak_leq_vv`]). Two singletons
+    /// are decided by the primitive `⪯`.
     pub fn weak_leq(&self, other: &Self) -> bool {
+        if let (Some(a), Some(b)) = (self.as_singleton(), other.as_singleton()) {
+            return a.weak_leq(b);
+        }
         if self.site_mask() & other.site_mask() == 0 {
             return self.max_global() <= other.min_global().saturating_add(1);
         }
@@ -271,7 +283,19 @@ impl CompositeTimestamp {
     /// disagree with the check order of the scan. Overlapping masks
     /// compose the O(|sites|) `_vv` kernels, so classification is
     /// O(|sites|) too, never O(n·m).
+    ///
+    /// Two singletons are classified from their parts first: for one
+    /// member pair, "neither `<`" is exactly "all pairs concurrent".
     pub fn relation(&self, other: &Self) -> CompositeRelation {
+        if let (Some(a), Some(b)) = (self.as_singleton(), other.as_singleton()) {
+            return if a.happens_before(b) {
+                CompositeRelation::Before
+            } else if b.happens_before(a) {
+                CompositeRelation::After
+            } else {
+                CompositeRelation::Concurrent
+            };
+        }
         if self.site_mask() & other.site_mask() == 0 {
             let (min1, max1) = (self.min_global(), self.max_global());
             let (min2, max2) = (other.min_global(), other.max_global());

@@ -10,10 +10,12 @@
 //! * the relation kernels (`relation`/`happens_before`/`concurrent`/
 //!   `weak_leq`) allocate nothing at any width — they walk the version
 //!   vector summary in place;
-//! * `max_op` allocates nothing when the result fits the inline member
-//!   buffer (≤ 4 members) — the merge stages in a reusable thread-local
-//!   scratch and the result copies into the inline buffer — and exactly
-//!   one exact-size heap vec otherwise;
+//! * `max_op` allocates nothing when the result is a singleton (stored
+//!   inline) — the merge stages in a reusable thread-local scratch — and
+//!   exactly one allocation, the result's shared block, at any wider
+//!   width;
+//! * cloning a stamp of any width allocates nothing (a wide stamp's block
+//!   is reference-counted);
 //! * the retired naive path (`max_op_naive`, kept as the oracle) pays
 //!   multiple allocations per call, so the scratch route is a real saving,
 //!   not an accounting trick.
@@ -85,22 +87,37 @@ fn kernels_are_alloc_free_on_the_hot_path() {
     });
     assert_eq!(n, 0, "relation kernels must not allocate");
 
-    // 2. max_op with an inline-size result: zero allocations. The width-2
-    //    pair unions to ≤ 4 members.
-    let (n, m) = allocs_during(|| std::hint::black_box(max_op(&a2, &b2)));
-    assert!(
-        m.len() <= 4,
-        "fixture drifted: result spilled inline buffer"
-    );
-    assert_eq!(n, 0, "inline-size max_op must not allocate");
+    // 2. max_op with a singleton result: zero allocations, both for two
+    //    ordered singletons and through the merge walk (a width-2 stamp
+    //    overtaken at one of its own sites).
+    let early = CompositeTimestamp::singleton(pts(0, 10, 100));
+    let late = CompositeTimestamp::singleton(pts(1, 20, 200));
+    let overtaking = CompositeTimestamp::singleton(pts(0, 30, 300));
+    for (x, y) in [(&early, &late), (&a2, &overtaking)] {
+        let (n, m) = allocs_during(|| std::hint::black_box(max_op(x, y)));
+        assert_eq!(m.len(), 1, "fixture drifted: result is not a singleton");
+        assert_eq!(n, 0, "singleton-result max_op must not allocate");
+    }
 
-    // 3. max_op with a wide result: exactly one allocation (the result's
-    //    own heap member vec — unavoidable for an owned wide value).
-    let (n, m) = allocs_during(|| std::hint::black_box(max_op(&a32, &b32)));
-    assert!(m.len() > 4, "fixture drifted: wide union fit inline");
-    assert_eq!(n, 1, "wide max_op must allocate only the result vec");
+    // 3. max_op with a wide result: exactly one allocation, the result's
+    //    shared block — unavoidable for an owned wide value — for two
+    //    concurrent singletons, the width-2 pair and the width-32 pair.
+    let beside = CompositeTimestamp::singleton(pts(1, 10, 101));
+    for (x, y) in [(&early, &beside), (&a2, &b2), (&a32, &b32)] {
+        let (n, m) = allocs_during(|| std::hint::black_box(max_op(x, y)));
+        assert!(m.len() > 1, "fixture drifted: result is a singleton");
+        assert_eq!(n, 1, "wide max_op must allocate only the result block");
+    }
 
-    // 4. The naive oracle pays for staging (union vec, max_set's survivor
+    // 4. Cloning never allocates: a width-2 or width-32 clone shares its
+    //    block.
+    let (n, _) = allocs_during(|| {
+        std::hint::black_box(a2.clone());
+        std::hint::black_box(a32.clone());
+    });
+    assert_eq!(n, 0, "cloning a wide stamp must not allocate");
+
+    // 5. The naive oracle pays for staging (union vec, max_set's survivor
     //    vec, renormalization) on the same inputs — the scratch route is a
     //    measured saving of ≥ 3 allocations per narrow join and ≥ 2 per
     //    wide one.

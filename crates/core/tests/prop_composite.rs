@@ -2,13 +2,14 @@
 //! Theorems 5.1–5.4, the candidate-ordering analysis of Section 5.1, and
 //! the algebraic laws of the `Max` operator.
 
+use decs_chronos::SiteId;
 use decs_core::alt::{self, Candidate};
 use decs_core::properties as p;
 use decs_core::{
     classify_region, cts, join_concurrent, max_op, pts, CompositeRelation, CompositeTimestamp,
     CoreError, PrimitiveTimestamp, RawTimestampSet, Region, RegionMap,
 };
-use decs_testkit::{check, vec_of, SplitMix64};
+use decs_testkit::{check, pick, vec_of, SplitMix64};
 
 /// Conforming timestamps: `global = local / 10`, as a real global time base
 /// produces. The Section 4/5 theory *requires* conforming components — for
@@ -40,6 +41,89 @@ fn constructor_establishes_invariant() {
         // Global spread of a normalized timestamp is at most one tick
         // (members are pairwise concurrent).
         assert!(c.max_global() - c.min_global() <= 1);
+    });
+}
+
+/// A composite of 1–8 members built directly as a max-set: globals within
+/// one tick of each other and one local tick per site, so every member
+/// pair is concurrent and nothing but exact duplicates is normalized away.
+/// Sites 64 and up share `site_mask` bits with sites below 64, and a site
+/// drawn twice with both globals forms a multi-member run.
+fn representable(rng: &mut SplitMix64) -> CompositeTimestamp {
+    const SITES: [u32; 10] = [0, 1, 2, 5, 63, 64, 65, 66, 128, 200];
+    let base = rng.next_range(1, 1_000);
+    let width = rng.next_range(1, 8);
+    CompositeTimestamp::from_primitives((0..width).map(|_| {
+        let site = pick(rng, &SITES);
+        pts(site, base + rng.next_below(2), 10_000 + u64::from(site))
+    }))
+}
+
+#[test]
+fn representation_accessors_match_member_scan() {
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+    fn hash_of(c: &CompositeTimestamp) -> u64 {
+        let mut h = DefaultHasher::new();
+        c.hash(&mut h);
+        h.finish()
+    }
+    check("representation_accessors_match_member_scan", CASES, |rng| {
+        let c = representable(rng);
+        let m = c.members();
+        assert!(m.windows(2).all(|w| w[0] < w[1]), "{c} not canonical");
+        assert_eq!(c.len(), m.len());
+        let globals = || m.iter().map(|t| t.global().get());
+        assert_eq!(c.min_global(), globals().min().unwrap());
+        assert_eq!(c.max_global(), globals().max().unwrap());
+        let mask = m
+            .iter()
+            .fold(0u64, |acc, t| acc | 1 << (t.site().get() % 64));
+        assert_eq!(c.site_mask(), mask, "{c}");
+        let max_site = m.iter().map(|t| t.site().get()).max().unwrap();
+        for s in 0..=max_site + 1 {
+            let site = SiteId(s);
+            let outside = || {
+                m.iter()
+                    .filter(|t| t.site() != site)
+                    .map(|t| t.global().get())
+            };
+            let scan_min = outside().min().unwrap_or(u64::MAX);
+            let scan_max = outside().max().unwrap_or(0);
+            assert_eq!(c.min_global_excluding(site), scan_min, "{c} \\ s{s}");
+            assert_eq!(c.max_global_excluding(site), scan_max, "{c} \\ s{s}");
+        }
+        let all_one_site = m.iter().all(|t| t.site() == m[0].site());
+        assert_eq!(c.single_site(), all_one_site.then(|| m[0].site()));
+        let mut runs = Vec::new();
+        for t in m {
+            match runs.last_mut() {
+                Some((site, local, _, hi)) if *site == t.site() => {
+                    assert_eq!(*local, t.local().get(), "{c}: run with two locals");
+                    *hi = t.global().get();
+                }
+                _ => runs.push((
+                    t.site(),
+                    t.local().get(),
+                    t.global().get(),
+                    t.global().get(),
+                )),
+            }
+        }
+        let summary: Vec<_> = c
+            .site_runs()
+            .map(|r| (r.site, r.local, r.min_global, r.max_global))
+            .collect();
+        assert_eq!(summary, runs);
+        // Equality and hashing see the member set, however it was built.
+        let rebuilt = CompositeTimestamp::try_from_primitives(m.iter().rev().copied()).unwrap();
+        assert_eq!(rebuilt, c);
+        assert_eq!(hash_of(&rebuilt), hash_of(&c));
+        assert_eq!(hash_of(&c), {
+            let mut h = DefaultHasher::new();
+            m.hash(&mut h);
+            h.finish()
+        });
     });
 }
 

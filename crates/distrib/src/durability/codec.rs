@@ -265,12 +265,19 @@ impl Decode for String {
     }
 }
 
-impl<T: Encode> Encode for Vec<T> {
+/// A length prefix, then the elements: the layout of every sequence
+/// (`Vec`, shared slice, composite-timestamp member list).
+impl<T: Encode> Encode for [T] {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
         for v in self {
             v.encode(out);
         }
+    }
+}
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode(out);
     }
 }
 impl<T: Decode> Decode for Vec<T> {
@@ -356,10 +363,7 @@ impl Decode for PrimitiveTimestamp {
 
 impl Encode for CompositeTimestamp {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.members().len() as u64).encode(out);
-        for m in self.members() {
-            m.encode(out);
-        }
+        self.members().encode(out);
     }
 }
 impl Decode for CompositeTimestamp {
@@ -434,7 +438,7 @@ impl Decode for Value {
 impl Encode for ParamTuple {
     fn encode(&self, out: &mut Vec<u8>) {
         self.source.encode(out);
-        self.values.as_ref().encode(out);
+        self.values.encode(out);
     }
 }
 impl Decode for ParamTuple {
@@ -443,7 +447,7 @@ impl Decode for ParamTuple {
         let values: Vec<Value> = Vec::decode(r)?;
         Ok(ParamTuple {
             source,
-            values: Arc::new(values),
+            values: values.into(),
         })
     }
 }
@@ -453,7 +457,7 @@ impl Encode for Occurrence<CompositeTimestamp> {
         self.ty.encode(out);
         self.time.encode(out);
         self.uid.encode(out);
-        self.params.as_ref().encode(out);
+        self.params.encode(out);
     }
 }
 impl Decode for Occurrence<CompositeTimestamp> {
@@ -465,7 +469,7 @@ impl Decode for Occurrence<CompositeTimestamp> {
         Ok(Occurrence {
             ty,
             time,
-            params: Arc::new(params),
+            params: params.into(),
             uid,
         })
     }

@@ -89,7 +89,7 @@ impl ParamArena {
             self.bare.resize(i + 1, None);
         }
         if self.bare[i].is_none() {
-            self.bare[i] = Some(Arc::new(vec![ParamTuple::new(ty, Vec::new())]));
+            self.bare[i] = Some(Arc::new([ParamTuple::new(ty, Vec::new())]));
         }
         ParamHandle::Bare(ty)
     }
@@ -97,7 +97,7 @@ impl ParamArena {
     /// Allocate a transient slot holding a fresh single-tuple list.
     pub fn alloc(&mut self, ty: EventId, values: Vec<Value>) -> ParamHandle {
         self.payload_bytes += values.len() * std::mem::size_of::<Value>();
-        self.alloc_list(Arc::new(vec![ParamTuple::new(ty, values)]))
+        self.alloc_list(Arc::new([ParamTuple::new(ty, values)]))
     }
 
     /// Allocate a transient slot referencing an existing list (an `Arc`

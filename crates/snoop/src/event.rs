@@ -109,14 +109,14 @@ impl From<bool> for Value {
 }
 
 /// The parameters contributed by one constituent occurrence: the source
-/// event type and its values. Shared via `Arc` so that fan-out through the
-/// graph does not copy payloads.
+/// event type and its values. The values are one shared slice, so fan-out
+/// through the graph does not copy payloads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParamTuple {
     /// The event type that contributed these values.
     pub source: EventId,
     /// The values.
-    pub values: Arc<Vec<Value>>,
+    pub values: Arc<[Value]>,
 }
 
 impl ParamTuple {
@@ -124,17 +124,18 @@ impl ParamTuple {
     pub fn new(source: EventId, values: Vec<Value>) -> Self {
         ParamTuple {
             source,
-            values: Arc::new(values),
+            values: values.into(),
         }
     }
 }
 
 /// The accumulated parameter tuples of an occurrence (constituents in
-/// detection order). Shared via `Arc`: cloning an occurrence during graph
-/// fan-out (one clone per subscriber/parent edge) costs one reference-count
-/// increment instead of a heap copy of the tuple list. Operators that build
-/// a *new* list (combination, accumulation) allocate once and re-wrap.
-pub type ParamList = Arc<Vec<ParamTuple>>;
+/// detection order), as one shared slice: cloning an occurrence during
+/// graph fan-out (one clone per subscriber/parent edge) costs one
+/// reference-count increment instead of a heap copy of the tuple list.
+/// Operators that build a *new* list (combination, accumulation) collect
+/// it straight into a fresh block — one allocation.
+pub type ParamList = Arc<[ParamTuple]>;
 
 /// An event occurrence: type, timestamp, parameters, and a process-unique
 /// identity.
@@ -156,6 +157,10 @@ pub struct Occurrence<T> {
     pub uid: u64,
 }
 
+// A 32-byte stamp and a 16-byte shared parameter slice keep the
+// distributed occurrence, which every layer moves and clones, at 64 bytes.
+const _: () = assert!(std::mem::size_of::<Occurrence<decs_core::CompositeTimestamp>>() <= 64);
+
 impl<T: PartialEq> PartialEq for Occurrence<T> {
     fn eq(&self, other: &Self) -> bool {
         self.ty == other.ty && self.time == other.time && self.params == other.params
@@ -168,7 +173,7 @@ impl<T: EventTime> Occurrence<T> {
         Occurrence {
             ty,
             time,
-            params: Arc::new(vec![ParamTuple::new(ty, values)]),
+            params: Arc::new([ParamTuple::new(ty, values)]),
             uid: fresh_uid(),
         }
     }
@@ -178,7 +183,7 @@ impl<T: EventTime> Occurrence<T> {
         Occurrence {
             ty,
             time,
-            params: Arc::new(vec![ParamTuple::new(ty, Vec::new())]),
+            params: Arc::new([ParamTuple::new(ty, Vec::new())]),
             uid: fresh_uid(),
         }
     }
@@ -186,13 +191,12 @@ impl<T: EventTime> Occurrence<T> {
     /// Combine two constituent occurrences into a composite one:
     /// `time = Max(t1, t2)`, parameters concatenated.
     pub fn combine(ty: EventId, a: &Occurrence<T>, b: &Occurrence<T>) -> Self {
-        let mut params = Vec::with_capacity(a.params.len() + b.params.len());
-        params.extend(a.params.iter().cloned());
-        params.extend(b.params.iter().cloned());
+        // An exact-length chain: `Arc<[_]>` collects it in place.
+        let params = a.params.iter().chain(b.params.iter()).cloned().collect();
         Occurrence {
             ty,
             time: a.time.max(&b.time),
-            params: Arc::new(params),
+            params,
             uid: fresh_uid(),
         }
     }
@@ -205,7 +209,7 @@ impl<T: EventTime> Occurrence<T> {
     pub fn combine_all(ty: EventId, parts: &[&Occurrence<T>]) -> Self {
         assert!(!parts.is_empty(), "combine_all needs at least one part");
         let mut time = parts[0].time.clone();
-        let mut params = Vec::new();
+        let mut params = Vec::with_capacity(parts.iter().map(|p| p.params.len()).sum());
         for p in parts {
             if !std::ptr::eq(*p, parts[0]) {
                 time = time.max(&p.time);
@@ -215,7 +219,7 @@ impl<T: EventTime> Occurrence<T> {
         Occurrence {
             ty,
             time,
-            params: Arc::new(params),
+            params: params.into(),
             uid: fresh_uid(),
         }
     }

@@ -226,12 +226,12 @@ impl<T: EventTime> OperatorNode<T> for PStarNode<T> {
                     for f in &w.fires {
                         time = time.max(f);
                     }
-                    let mut params = (*w.opener.params).clone();
-                    params.push(crate::event::ParamTuple::new(
+                    let count = crate::event::ParamTuple::new(
                         occ.ty,
                         vec![Value::Int(w.fires.len() as i64)],
-                    ));
-                    sink.emit(Occurrence::with_params(occ.ty, time, params.into()));
+                    );
+                    let params = w.opener.params.iter().cloned().chain([count]).collect();
+                    sink.emit(Occurrence::with_params(occ.ty, time, params));
                 }
             }
             _ => debug_assert!(false, "P* has two event operands"),

@@ -172,11 +172,24 @@ pub(crate) struct DefView {
     pub(crate) subscribed: BTreeSet<EventId>,
     /// Subexpression positions in build (bottom-up) order.
     pub(crate) positions: Vec<Position>,
-    /// Leaf event type → subscribing positions `(position, slot)`.
-    pub(crate) subs: HashMap<EventId, Vec<(u32, usize)>>,
+    /// Leaf event type → subscribing positions `(position, slot)`, indexed
+    /// densely by `EventId` like the detector's routes (an empty slot = no
+    /// subscription).
+    pub(crate) subs: Vec<Vec<(u32, usize)>>,
     /// Outstanding timers → `(position, node-internal tag)`.
     pub(crate) timers: HashMap<TimerId, (u32, u64)>,
     pub(crate) next_timer: u64,
+}
+
+impl DefView {
+    /// Subscribe position `p`'s operand `slot` to leaf event type `e`.
+    fn subscribe(&mut self, e: EventId, p: u32, slot: usize) {
+        let i = e.0 as usize;
+        if i >= self.subs.len() {
+            self.subs.resize_with(i + 1, Vec::new);
+        }
+        self.subs[i].push((p, slot));
+    }
 }
 
 /// Where a compiled subexpression delivers its occurrences from.
@@ -195,39 +208,39 @@ fn key_of(def: &DefView, s: Src) -> ChildKey {
     }
 }
 
-/// Deliver `occ` to `pos`'s plan node on operand `slot` and return the
-/// emissions (typed for this position) plus any timer requests.
+/// Deliver `occ` to `pos`'s plan node on operand `slot`, appending the
+/// emissions (typed for this position) and any timer requests to the
+/// given (empty) buffers.
 fn deliver<T: EventTime>(
     nodes: &mut [PlanNode<T>],
     pos: &mut Position,
     slot: usize,
     occ: &Occurrence<T>,
-) -> (Vec<Occurrence<T>>, Vec<(u64, u64)>) {
+    emissions: &mut Vec<Occurrence<T>>,
+    timer_reqs: &mut Vec<(u64, u64)>,
+) {
+    debug_assert!(emissions.is_empty() && timer_reqs.is_empty());
     let node = &mut nodes[pos.node];
-    let mut emissions = Vec::new();
-    let mut timer_reqs = Vec::new();
     if node.stateless {
         // Pure forwarder: re-execute per position so each definition's
         // emission keeps its own input's uid (self-pairing guard).
-        let mut sink = Sink::new(pos.emits, &mut emissions, &mut timer_reqs);
+        let mut sink = Sink::new(pos.emits, emissions, timer_reqs);
         node.op.on_child(slot, occ, &mut sink);
-        return (emissions, timer_reqs);
+        return;
     }
     if node.bound.len() == 1 {
         // Private node: plain execution, counters kept in lockstep so a
         // later define may still cons onto it while `exec == 0`.
-        {
-            let mut sink = Sink::new(pos.emits, &mut emissions, &mut timer_reqs);
-            node.op.on_child(slot, occ, &mut sink);
-        }
+        let mut sink = Sink::new(pos.emits, emissions, timer_reqs);
+        node.op.on_child(slot, occ, &mut sink);
         node.exec += 1;
         pos.seen += 1;
-        return (emissions, timer_reqs);
+        return;
     }
     if pos.seen == node.exec {
         // First cursor to arrive: execute once and log for the others.
         {
-            let mut sink = Sink::new(pos.emits, &mut emissions, &mut timer_reqs);
+            let mut sink = Sink::new(pos.emits, emissions, timer_reqs);
             node.op.on_child(slot, occ, &mut sink);
         }
         debug_assert!(
@@ -237,35 +250,61 @@ fn deliver<T: EventTime>(
         node.log.push(emissions.clone());
         node.exec += 1;
         pos.seen += 1;
-        (emissions, timer_reqs)
     } else {
         // Replay: re-stamp each logged emission with this position's event
         // type and a fresh uid — exactly what a private copy's combining
         // emission would have carried.
         debug_assert!(pos.seen < node.exec, "cursor ahead of node execution");
         let idx = (pos.seen - node.base) as usize;
-        let replayed = node.log[idx]
-            .iter()
-            .map(|e| Occurrence::with_params(pos.emits, e.time.clone(), e.params.clone()))
-            .collect();
+        emissions.extend(
+            node.log[idx]
+                .iter()
+                .map(|e| Occurrence::with_params(pos.emits, e.time.clone(), e.params.clone())),
+        );
         pos.seen += 1;
-        (replayed, timer_reqs)
     }
 }
 
-/// Route one emission batch from position `p`: register timers, enqueue
-/// parent deliveries, record named detections. Each emission is cloned
-/// once per subscriber *minus one* — the last parent (or, for a named
-/// position with no parents, the detection list) receives it by move.
-fn postprocess_def<T: EventTime>(
-    def: &mut DefView,
-    p: u32,
+/// Buffers of one definition's cascade for one trigger, reused across
+/// triggers and definitions: the BFS delivery queue, one delivery's
+/// emissions and timer requests, and what the definition produced. The
+/// caller drains `result` after each definition; every buffer is empty
+/// between triggers.
+#[derive(Debug)]
+struct DefScratch<T> {
+    queue: VecDeque<(u32, usize, Occurrence<T>)>,
     emissions: Vec<Occurrence<T>>,
     timer_reqs: Vec<(u64, u64)>,
-    queue: &mut VecDeque<(u32, usize, Occurrence<T>)>,
-    result: &mut FeedResult<T>,
-) {
-    for (tag, delay) in timer_reqs {
+    result: FeedResult<T>,
+}
+
+impl<T> Default for DefScratch<T> {
+    fn default() -> Self {
+        DefScratch {
+            queue: VecDeque::new(),
+            emissions: Vec::new(),
+            timer_reqs: Vec::new(),
+            result: FeedResult {
+                detected: Vec::new(),
+                timers: Vec::new(),
+            },
+        }
+    }
+}
+
+/// Route the emission batch staged in `s` from position `p`: register
+/// timers, enqueue parent deliveries, record named detections. Each
+/// emission is cloned once per subscriber *minus one* — the last parent
+/// (or, for a named position with no parents, the detection list)
+/// receives it by move.
+fn postprocess_def<T: EventTime>(def: &mut DefView, p: u32, s: &mut DefScratch<T>) {
+    let DefScratch {
+        queue,
+        emissions,
+        timer_reqs,
+        result,
+    } = s;
+    for (tag, delay) in timer_reqs.drain(..) {
         let id = TimerId(def.next_timer);
         def.next_timer += 1;
         def.timers.insert(id, (p, tag));
@@ -276,7 +315,7 @@ fn postprocess_def<T: EventTime>(
     }
     let pos = &def.positions[p as usize];
     let named = pos.named;
-    for occ in emissions {
+    for occ in emissions.drain(..) {
         match pos.parents.split_last() {
             Some((&(last, lslot), rest)) => {
                 for &(parent, slot) in rest {
@@ -298,44 +337,34 @@ fn postprocess_def<T: EventTime>(
     }
 }
 
-/// BFS over one definition's queued deliveries. `queue` is borrowed so
-/// callers on the hot path can reuse one allocation across triggers; it
-/// is empty again on return.
-fn drain_def<T: EventTime>(
-    nodes: &mut [PlanNode<T>],
-    def: &mut DefView,
-    queue: &mut VecDeque<(u32, usize, Occurrence<T>)>,
-    result: &mut FeedResult<T>,
-) {
-    while let Some((p, slot, occ)) = queue.pop_front() {
-        let (emissions, timer_reqs) = {
-            let pos = &mut def.positions[p as usize];
-            deliver(nodes, pos, slot, &occ)
-        };
-        postprocess_def(def, p, emissions, timer_reqs, queue, result);
+/// BFS over one definition's queued deliveries; the queue is empty again
+/// on return.
+fn drain_def<T: EventTime>(nodes: &mut [PlanNode<T>], def: &mut DefView, s: &mut DefScratch<T>) {
+    while let Some((p, slot, occ)) = s.queue.pop_front() {
+        let pos = &mut def.positions[p as usize];
+        deliver(nodes, pos, slot, &occ, &mut s.emissions, &mut s.timer_reqs);
+        postprocess_def(def, p, s);
     }
 }
 
-/// Feed one occurrence through one definition's view of the plan.
+/// Leaf subscriptions of `def` to `ty` (empty = none).
+fn subs_of(def: &DefView, ty: EventId) -> &[(u32, usize)] {
+    def.subs.get(ty.0 as usize).map_or(&[], Vec::as_slice)
+}
+
+/// Feed one occurrence through one definition's view of the plan,
+/// appending what it produced to `s.result`.
 fn feed_def_into<T: EventTime>(
     nodes: &mut [PlanNode<T>],
     def: &mut DefView,
     occ: &Occurrence<T>,
-    queue: &mut VecDeque<(u32, usize, Occurrence<T>)>,
-) -> FeedResult<T> {
-    let mut result = FeedResult {
-        detected: Vec::new(),
-        timers: Vec::new(),
-    };
-    let Some(subs) = def.subs.get(&occ.ty) else {
-        return result;
-    };
-    debug_assert!(queue.is_empty(), "scratch queue must start empty");
-    for &(p, slot) in subs {
-        queue.push_back((p, slot, occ.clone()));
+    s: &mut DefScratch<T>,
+) {
+    debug_assert!(s.queue.is_empty(), "scratch queue must start empty");
+    for &(p, slot) in subs_of(def, occ.ty) {
+        s.queue.push_back((p, slot, occ.clone()));
     }
-    drain_def(nodes, def, queue, &mut result);
-    result
+    drain_def(nodes, def, s);
 }
 
 /// Like [`feed_def_into`] but takes the trigger by move: the last
@@ -345,23 +374,17 @@ fn feed_def_into_owned<T: EventTime>(
     nodes: &mut [PlanNode<T>],
     def: &mut DefView,
     occ: Occurrence<T>,
-    queue: &mut VecDeque<(u32, usize, Occurrence<T>)>,
-) -> FeedResult<T> {
-    let mut result = FeedResult {
-        detected: Vec::new(),
-        timers: Vec::new(),
+    s: &mut DefScratch<T>,
+) {
+    debug_assert!(s.queue.is_empty(), "scratch queue must start empty");
+    let Some((&(last, lslot), rest)) = subs_of(def, occ.ty).split_last() else {
+        return;
     };
-    let Some(subs) = def.subs.get(&occ.ty) else {
-        return result;
-    };
-    debug_assert!(queue.is_empty(), "scratch queue must start empty");
-    let (&(last, lslot), rest) = subs.split_last().expect("sub lists are non-empty");
     for &(p, slot) in rest {
-        queue.push_back((p, slot, occ.clone()));
+        s.queue.push_back((p, slot, occ.clone()));
     }
-    queue.push_back((last, lslot, occ));
-    drain_def(nodes, def, queue, &mut result);
-    result
+    s.queue.push_back((last, lslot, occ));
+    drain_def(nodes, def, s);
 }
 
 /// Counts describing a compiled plan's degree of sharing.
@@ -380,16 +403,16 @@ pub struct PlanStats {
 }
 
 /// Reusable hot-path buffers for the serial cascade. Kept on the
-/// detector so the per-event loop of a batch feed allocates nothing:
-/// the current wave, the next wave, the per-trigger detection round and
-/// the BFS delivery queue all recycle their capacity across triggers.
-/// Every buffer is empty between public calls.
+/// detector so the per-event loop of a batch feed allocates only what it
+/// emits: the current wave, the next wave, the per-trigger detection
+/// round and the per-definition cascade buffers all recycle their
+/// capacity across triggers. Every buffer is empty between public calls.
 #[derive(Debug)]
 struct Scratch<T> {
     wave: Vec<Occurrence<T>>,
     next: Vec<Occurrence<T>>,
     round: Vec<Occurrence<T>>,
-    queue: VecDeque<(u32, usize, Occurrence<T>)>,
+    def: DefScratch<T>,
 }
 
 impl<T> Default for Scratch<T> {
@@ -398,7 +421,7 @@ impl<T> Default for Scratch<T> {
             wave: Vec::new(),
             next: Vec::new(),
             round: Vec::new(),
-            queue: VecDeque::new(),
+            def: DefScratch::default(),
         }
     }
 }
@@ -477,7 +500,7 @@ impl<T: EventTime> PlanDetector<T> {
             emits,
             subscribed: BTreeSet::new(),
             positions: Vec::new(),
-            subs: HashMap::new(),
+            subs: Vec::new(),
             timers: HashMap::new(),
             next_timer: 0,
         };
@@ -505,10 +528,13 @@ impl<T: EventTime> PlanDetector<T> {
                     parents: Vec::new(),
                     seen,
                 });
-                def.subs.entry(e).or_default().push((p, 0));
+                def.subscribe(e, p, 0);
             }
         }
-        def.subscribed = def.subs.keys().copied().collect();
+        def.subscribed = (0..def.subs.len() as u32)
+            .map(EventId)
+            .filter(|&e| !subs_of(&def, e).is_empty())
+            .collect();
         let level = def
             .subscribed
             .iter()
@@ -603,7 +629,7 @@ impl<T: EventTime> PlanDetector<T> {
         });
         for &(src, slot) in children {
             match src {
-                Src::Event(e) => def.subs.entry(e).or_default().push((p, slot)),
+                Src::Event(e) => def.subscribe(e, p, slot),
                 Src::Pos(c) => def.positions[c as usize].parents.push((p, slot)),
             }
         }
@@ -955,40 +981,30 @@ impl<T: EventTime> PlanDetector<T> {
             .timers
             .remove(&id)
             .ok_or(SnoopError::UnknownTimer(id.0))?;
-        let mut result = FeedResult {
-            detected: Vec::new(),
-            timers: Vec::new(),
-        };
-        let mut queue = VecDeque::new();
-        let mut emissions = Vec::new();
-        let mut timer_reqs = Vec::new();
+        let mut s = DefScratch::default();
         {
             let def = &self.defs[d];
             let pos = &def.positions[p as usize];
             let node = &mut self.nodes[pos.node];
             debug_assert_eq!(node.bound.len(), 1, "timer nodes are private");
-            let mut sink = Sink::new(pos.emits, &mut emissions, &mut timer_reqs);
+            let mut sink = Sink::new(pos.emits, &mut s.emissions, &mut s.timer_reqs);
             node.op.on_timer(tag, &time, &mut sink);
         }
-        postprocess_def(
-            &mut self.defs[d],
-            p,
-            emissions,
-            timer_reqs,
-            &mut queue,
-            &mut result,
-        );
-        drain_def(&mut self.nodes, &mut self.defs[d], &mut queue, &mut result);
+        postprocess_def(&mut self.defs[d], p, &mut s);
+        drain_def(&mut self.nodes, &mut self.defs[d], &mut s);
         let mut out = ShardFeedResult::default();
-        out.timers.extend(result.timers.into_iter().map(|t| (d, t)));
-        let mut round = result.detected;
+        out.timers
+            .extend(s.result.timers.into_iter().map(|t| (d, t)));
+        let mut round = s.result.detected;
         sort_canonical(&mut round);
         if self.severed {
             out.detected.extend(round);
         } else {
-            let mut wave = Vec::with_capacity(round.len());
+            let mut wave = Vec::new();
             for det in round {
-                wave.push(det.clone());
+                if !self.route(det.ty).is_empty() {
+                    wave.push(det.clone());
+                }
                 out.detected.push(det);
             }
             self.pump(wave, &mut out);
@@ -1047,7 +1063,9 @@ impl<T: EventTime> PlanDetector<T> {
     /// to the subscribed definitions (ascending), canonically merge the
     /// per-trigger detections into `out` and `s.next`. Each trigger moves
     /// into the *last* subscribed definition — the common single-route
-    /// case never clones it.
+    /// case never clones it — and a detection is cloned into `s.next` only
+    /// when some definition subscribes to its type (an unrouted trigger
+    /// would be skipped by the next wave anyway).
     fn wave_step(&mut self, s: &mut Scratch<T>, out: &mut ShardFeedResult<T>) {
         let severed = self.severed;
         let PlanDetector {
@@ -1060,25 +1078,27 @@ impl<T: EventTime> PlanDetector<T> {
             wave,
             next,
             round,
-            queue,
+            def: ds,
         } = s;
+        let route = |ty: EventId| routes.get(ty.0 as usize).map_or(&[][..], Vec::as_slice);
         for occ in wave.drain(..) {
-            let route: &[ShardId] = routes.get(occ.ty.0 as usize).map_or(&[], Vec::as_slice);
-            let Some((&last, rest)) = route.split_last() else {
+            let Some((&last, rest)) = route(occ.ty).split_last() else {
                 continue;
             };
             debug_assert!(round.is_empty());
             for &d in rest {
-                let r = feed_def_into(nodes, &mut defs[d], &occ, queue);
-                out.timers.extend(r.timers.into_iter().map(|t| (d, t)));
-                round.extend(r.detected);
+                feed_def_into(nodes, &mut defs[d], &occ, ds);
+                out.timers
+                    .extend(ds.result.timers.drain(..).map(|t| (d, t)));
+                round.append(&mut ds.result.detected);
             }
-            let r = feed_def_into_owned(nodes, &mut defs[last], occ, queue);
-            out.timers.extend(r.timers.into_iter().map(|t| (last, t)));
-            round.extend(r.detected);
+            feed_def_into_owned(nodes, &mut defs[last], occ, ds);
+            out.timers
+                .extend(ds.result.timers.drain(..).map(|t| (last, t)));
+            round.append(&mut ds.result.detected);
             sort_canonical(round);
             for det in round.drain(..) {
-                if !severed {
+                if !severed && !route(det.ty).is_empty() {
                     next.push(det.clone());
                 }
                 out.detected.push(det);

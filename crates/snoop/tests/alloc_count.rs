@@ -5,16 +5,18 @@
 //! no concurrent traffic.
 //!
 //! The fixtures use *bare* occurrences (one empty parameter tuple) under
-//! `CentralTime`, so the allocations inherent to an emission are its
-//! concatenated parameter vec and the `Arc` wrapping it — every other
-//! count is join-site staging. What it pins:
+//! `CentralTime`, so the allocation inherent to an emission is its
+//! concatenated parameter list, one shared slice — every other count is
+//! join-site staging. What it pins:
 //!
-//! * `SeqNode` termination (the banded buffer) allocates exactly two
-//!   counts per emitted pairing (params vec + `Arc`) — the matched-index
-//!   staging reuses the buffer's scratch, independent of how many
-//!   initiators match;
-//! * `AnyNode` m-of-n detection allocates the emission plus one
-//!   borrowed-parts vec — no per-part occurrence clones, no slot vec.
+//! * `SeqNode` termination (the banded buffer) allocates exactly one
+//!   count per emitted pairing (the parameter slice, collected in place
+//!   from the two constituents' lists) — the matched-index staging reuses
+//!   the buffer's scratch, independent of how many initiators match;
+//! * `AnyNode` m-of-n detection allocates exactly three counts: one
+//!   borrowed-parts vec, and the emission's parameter list staged in an
+//!   exact-capacity vec and copied into its shared slice — no per-part
+//!   occurrence clones, no slot vec.
 
 use decs_snoop::nodes::any::AnyNode;
 use decs_snoop::nodes::seq::SeqNode;
@@ -59,8 +61,8 @@ fn bare(ty: u32, t: u64) -> Occurrence<CentralTime> {
 #[test]
 fn join_sites_allocate_only_per_emission() {
     // --- SEQ: Unrestricted keeps initiators, so repeated terminations are
-    // a steady state; M matched initiators must cost exactly M emission
-    // Arcs once buffers and scratch are warm.
+    // a steady state; M matched initiators must cost exactly M parameter
+    // slices once buffers and scratch are warm.
     const M: usize = 32;
     let mut seq: SeqNode<CentralTime> = SeqNode::new(Context::Unrestricted);
     let mut em: Vec<Occurrence<CentralTime>> = Vec::new();
@@ -83,14 +85,13 @@ fn join_sites_allocate_only_per_emission() {
     });
     assert_eq!(em.len(), M);
     assert_eq!(
-        n,
-        2 * M,
-        "SEQ termination with {M} matches must allocate exactly params + Arc per emission"
+        n, M,
+        "SEQ termination with {M} matches must allocate exactly one parameter slice per emission"
     );
 
     // --- ANY(2 of N): Unrestricted re-fires on every arrival once m slots
     // are populated; a detection must cost one borrowed-parts vec plus the
-    // emission Arc, regardless of how many slots the node has.
+    // emission's parameter list, regardless of how many slots the node has.
     const N: usize = 64;
     let mut any: AnyNode<CentralTime> = AnyNode::new(Context::Unrestricted, 2, N);
     let mut em: Vec<Occurrence<CentralTime>> = Vec::new();
@@ -109,8 +110,8 @@ fn join_sites_allocate_only_per_emission() {
         any.on_child(N - 1, &arrival, &mut sink);
     });
     assert_eq!(em.len(), 1);
-    assert!(
-        n <= 5,
-        "ANY detection must allocate at most the parts vec + one emission, got {n}"
+    assert_eq!(
+        n, 3,
+        "ANY detection must allocate exactly the parts vec + one emission's parameter list"
     );
 }
