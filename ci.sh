@@ -18,6 +18,10 @@ cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo fmt --check
 
+# Rustdoc gate: a stale intra-doc link (a renamed or removed item) or a
+# public doc that links a private item fails the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 # Bench smoke: re-measures the hot-path kernels and validates the
 # committed BENCH_hotpath.json baseline (fails on malformed JSON or a
 # >2x regression of any fast kernel).

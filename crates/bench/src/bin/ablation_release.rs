@@ -16,13 +16,15 @@
 
 use decs_bench::print_table;
 use decs_chronos::{Granularity, Nanos};
-use decs_distrib::{Engine, EngineConfig, ReleasePolicy};
+use decs_distrib::{Ablation, Engine, EngineConfig};
 use decs_simnet::{LinkConfig, ScenarioBuilder};
 use decs_snoop::{Context, EventExpr as E};
 use decs_workloads::{ArrivalModel, WorkloadSpec};
 
+/// `immediate` feeds notifications in arrival order instead of waiting
+/// for watermark stability.
 fn detections(
-    policy: ReleasePolicy,
+    immediate: bool,
     link: LinkConfig,
     trace: &[decs_workloads::Injection],
 ) -> (Vec<(String, String)>, f64) {
@@ -31,13 +33,15 @@ fn detections(
         .global_granularity(Granularity::per_second(10).unwrap())
         .build()
         .unwrap();
-    let mut e = Engine::new(
+    let mut e = Engine::ablated(
         &scenario,
-        EngineConfig {
-            release_policy: policy,
-            ..EngineConfig::default()
+        EngineConfig::default(),
+        Ablation {
+            release_on_arrival: immediate,
+            ..Ablation::default()
         },
         &["A", "B"],
+        &[],
         &[("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle)],
     )
     .unwrap();
@@ -100,12 +104,12 @@ fn main() {
     ];
 
     // Reference: stable policy under the calm network.
-    let (reference, _) = detections(ReleasePolicy::Stable, links[0].1, &trace);
+    let (reference, _) = detections(false, links[0].1, &trace);
 
     let mut rows = Vec::new();
     for (label, link) in links {
-        let (stable, stable_lat) = detections(ReleasePolicy::Stable, link, &trace);
-        let (immediate, _) = detections(ReleasePolicy::Immediate, link, &trace);
+        let (stable, stable_lat) = detections(false, link, &trace);
+        let (immediate, _) = detections(true, link, &trace);
         let stable_div = if stable == reference { "0" } else { "≠" };
         let missing = reference.iter().filter(|d| !immediate.contains(d)).count();
         let ghosts = immediate.iter().filter(|d| !reference.contains(d)).count();

@@ -201,8 +201,7 @@ fn run_crash_case(s: &Schedule, w: &[(u64, u32, &'static str)], horizon_secs: u6
     let dir = std::env::temp_dir().join(format!("decs-chaos-{}-{}", std::process::id(), s.name));
     let _ = std::fs::remove_dir_all(&dir);
     let mut e = crash_engine(EngineConfig {
-        site_durability: true,
-        wal_dir: Some(dir.to_string_lossy().into_owned()),
+        site_durability: Some(dir.clone()),
         retransmit_jitter_seed: Some(0xE15),
         ..EngineConfig::default()
     });

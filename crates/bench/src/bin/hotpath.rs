@@ -24,7 +24,7 @@
 use decs_bench::concurrent_composite;
 use decs_chronos::{Granularity, Nanos};
 use decs_core::{max_op, max_op_naive};
-use decs_distrib::{Engine, EngineConfig};
+use decs_distrib::{Ablation, Engine, EngineConfig};
 use decs_simnet::ScenarioBuilder;
 use decs_snoop::{CentralDetector, Context, EventExpr as E};
 use std::fmt::Write as _;
@@ -195,13 +195,15 @@ fn latency_run(buffer_gc: bool) -> LatencyRow {
         .global_granularity(Granularity::from_millis(100).unwrap())
         .build()
         .unwrap();
-    let mut engine = Engine::new(
+    let mut engine = Engine::ablated(
         &scenario,
-        EngineConfig {
-            buffer_gc,
-            ..EngineConfig::default()
+        EngineConfig::default(),
+        Ablation {
+            no_buffer_gc: !buffer_gc,
+            ..Ablation::default()
         },
         &["A", "B", "C"],
+        &[],
         &[(
             "X",
             E::not(E::prim("B"), E::prim("A"), E::prim("C")),

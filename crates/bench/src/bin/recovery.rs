@@ -21,7 +21,7 @@
 
 use decs_chronos::{Granularity, Nanos};
 use decs_core::CompositeTimestamp;
-use decs_distrib::{Engine, EngineConfig};
+use decs_distrib::{Durability, Engine, EngineConfig};
 use decs_simnet::{Scenario, ScenarioBuilder, SplitMix64};
 use decs_snoop::{Context, EventExpr as E, Occurrence};
 use std::fmt::Write as _;
@@ -86,9 +86,10 @@ fn workload(events: usize) -> Vec<(u64, u32, &'static str)> {
 
 fn engine(wal_dir: Option<&std::path::Path>, interval: u64) -> Engine {
     let config = EngineConfig {
-        durability: wal_dir.is_some(),
-        snapshot_interval: if interval == 0 { u64::MAX } else { interval },
-        wal_dir: wal_dir.map(|p| p.to_string_lossy().into_owned()),
+        durability: wal_dir.map(|dir| Durability {
+            dir: dir.to_path_buf(),
+            snapshot_interval: if interval == 0 { u64::MAX } else { interval },
+        }),
         ..EngineConfig::default()
     };
     let d = defs();

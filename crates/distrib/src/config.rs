@@ -1,20 +1,23 @@
 //! Engine configuration.
 
 use decs_chronos::Nanos;
+use std::path::PathBuf;
 
-/// When the coordinator feeds a buffered notification into the detector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReleasePolicy {
-    /// The correct policy: hold a notification until the watermark
-    /// stability rule proves nothing earlier/concurrent can still arrive,
-    /// then release in the canonical order. Detection becomes a pure
-    /// function of the workload.
-    #[default]
-    Stable,
-    /// Ablation: feed notifications in arrival order, immediately. Faster
-    /// and lower latency, but detection depends on network timing — the
-    /// `ablation_release` experiment quantifies the damage.
-    Immediate,
+/// Where and how often the coordinator (or each replica) persists its
+/// state: a write-ahead log of delivered notifications plus periodic
+/// operator-state snapshots.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Durability {
+    /// Directory for the WAL and snapshot files (replica `r` of a
+    /// partitioned plane logs under `<dir>/replica-<r>`).
+    pub dir: PathBuf,
+    /// Take an operator-state snapshot whenever the minimum watermark has
+    /// advanced by at least this many global ticks since the last
+    /// snapshot. `0` means snapshot at every watermark advance; recovery
+    /// works with any interval (larger intervals replay a longer WAL
+    /// suffix). Replicas of a partitioned plane take no snapshots: their
+    /// recovery always replays the whole log.
+    pub snapshot_interval: u64,
 }
 
 /// Tunables of the distributed detection engine.
@@ -31,16 +34,6 @@ pub struct EngineConfig {
     /// so the batch interval replaces the heartbeat interval. Detections
     /// are identical either way.
     pub batch_interval: Nanos,
-    /// Capacity of the simulation trace (0 disables tracing).
-    pub trace_capacity: usize,
-    /// Release policy (see [`ReleasePolicy`]).
-    pub release_policy: ReleasePolicy,
-    /// Whether the coordinator garbage-collects operator buffers as the
-    /// watermark advances. GC is behavior-preserving (the detection stream
-    /// is identical either way — `tests/prop_fastpath.rs` proves it), so
-    /// this only trades a little release-round work for bounded memory on
-    /// long runs. On by default; the off switch exists for ablation.
-    pub buffer_gc: bool,
     /// Stall detector threshold: a site is marked *suspect* after its
     /// watermark fails to advance for this many consecutive ack intervals
     /// (100 ms each) while some other site's does. `0` disables stall
@@ -50,31 +43,22 @@ pub struct EngineConfig {
     /// eviction sacrifices completeness (composites needing the evicted
     /// site's events are suppressed), so it is an explicit opt-in.
     pub auto_evict: bool,
-    /// Persist a write-ahead log of delivered notifications plus periodic
-    /// operator-state snapshots, so a crashed coordinator can be rebuilt
-    /// and resumed (`Engine::crash_and_recover_coordinator`). Requires
-    /// [`EngineConfig::wal_dir`]. Off by default — durability costs a
-    /// serialization + fsync-batched write per in-order message.
-    pub durability: bool,
-    /// Take an operator-state snapshot whenever the minimum watermark has
-    /// advanced by at least this many global ticks since the last snapshot.
-    /// `0` means snapshot at every watermark advance; recovery still works
-    /// with any interval (larger intervals just replay a longer WAL
-    /// suffix).
-    pub snapshot_interval: u64,
-    /// Directory for the WAL and snapshot files. `None` (the default)
-    /// disables durability even if [`EngineConfig::durability`] is set.
-    pub wal_dir: Option<String>,
+    /// Coordinator durability, so a crashed coordinator or replica can be
+    /// rebuilt and resumed (`Engine::crash_and_recover_coordinator`,
+    /// `Engine::crash_and_recover_replica`). `None` (the default) keeps no
+    /// log — durability costs a serialization and a batched sync per
+    /// in-order message.
+    pub durability: Option<Durability>,
     /// Persist each site's outbound state (unacked send window, sequence
-    /// counter, staged batch) to a per-site WAL under
-    /// `<wal_dir>/site-<i>`, so a restarted site resumes retransmission
-    /// where the crashed incarnation stopped instead of restarting its
-    /// sequence space. Requires [`EngineConfig::wal_dir`]. Off by default
-    /// — site logging syncs per append (log-before-send).
-    pub site_durability: bool,
+    /// counter, staged batch) to a per-site WAL under `<dir>/site-<i>`, so
+    /// a restarted site resumes retransmission where the crashed
+    /// incarnation stopped instead of restarting its sequence space.
+    /// `None` (the default) keeps no site log — site logging syncs per
+    /// append (log-before-send).
+    pub site_durability: Option<PathBuf>,
     /// Seed for per-site retransmission-backoff jitter (each site derives
     /// an independent stream from it). `None` disables jitter: every
-    /// round fires exactly at the nominal backoff, as before.
+    /// round fires exactly at the nominal backoff.
     pub retransmit_jitter_seed: Option<u64>,
     /// Coordinator replicas in the detection plane. `1` (the default) is
     /// the classic single-coordinator deployment. With `n ≥ 2` the global
@@ -83,9 +67,10 @@ pub struct EngineConfig {
     /// definitions subscribe to its type, and cross-partition composite
     /// events are forwarded replica → replica as first-class primitive
     /// events. Detections are bit-for-bit identical to `1` (see
-    /// `tests/prop_partition.rs`); incompatible with
-    /// [`EngineConfig::site_durability`]. At most 64 (replica peer sets
-    /// are `u64` bitmasks).
+    /// `tests/prop_partition.rs`). `0`, more than 64 (replica peer sets
+    /// are `u64` bitmasks), and `n ≥ 2` together with
+    /// [`EngineConfig::site_durability`] or site-local definitions are
+    /// refused as [`crate::EngineError::Unsupported`].
     pub coordinator_replicas: usize,
 }
 
@@ -96,21 +81,32 @@ impl Default for EngineConfig {
             // stability lags by a small number of global ticks.
             heartbeat_interval: Nanos::from_millis(20),
             batch_interval: Nanos::ZERO,
-            trace_capacity: 0,
-            release_policy: ReleasePolicy::Stable,
-            buffer_gc: true,
             // 50 × 100 ms = 5 s of one-sided watermark silence before a
             // site is suspected.
             stall_intervals: 50,
             auto_evict: false,
-            durability: false,
-            snapshot_interval: 8,
-            wal_dir: None,
-            site_durability: false,
+            durability: None,
+            site_durability: None,
             retransmit_jitter_seed: None,
             coordinator_replicas: 1,
         }
     }
+}
+
+/// Switches that exist only to measure the engine against itself, not
+/// to deploy: they live outside [`EngineConfig`] and are reachable only
+/// through `Engine::ablated`.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Ablation {
+    /// Feed notifications into the detector in arrival order, without
+    /// waiting for watermark stability. Detection then depends on network
+    /// timing; the `ablation_release` experiment (E11) measures the
+    /// damage. Single coordinator only.
+    pub release_on_arrival: bool,
+    /// Never garbage-collect operator buffers. GC is behaviour-preserving;
+    /// this is the other side of the GC-on ≡ GC-off oracles.
+    pub no_buffer_gc: bool,
 }
 
 #[cfg(test)]
@@ -121,6 +117,7 @@ mod tests {
     fn default_heartbeat_is_positive() {
         let c = EngineConfig::default();
         assert!(c.heartbeat_interval.get() > 0);
-        assert_eq!(c.release_policy, ReleasePolicy::Stable);
+        assert_eq!(c.durability, None);
+        assert_eq!(c.site_durability, None);
     }
 }

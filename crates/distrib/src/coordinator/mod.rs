@@ -12,14 +12,14 @@
 //!
 //! The implementation is split by concern:
 //!
-//! * [`compile`] — building the detector from definition lists (shared by
+//! * `compile` — building the detector from definition lists (shared by
 //!   engine construction and crash recovery);
-//! * [`delivery`] — per-site FIFO reassembly, incarnation epochs, acks,
+//! * `delivery` — per-site FIFO reassembly, incarnation epochs, acks,
 //!   stall detection and eviction;
-//! * [`release`] — the stability buffer, canonical release order, operator
+//! * `release` — the stability buffer, canonical release order, operator
 //!   GC and detector feeding (including timer fires);
-//! * [`recovery`] — WAL appends, snapshots, and crash recovery;
-//! * [`partition`] — the multi-replica detection plane: partition keys,
+//! * `recovery` — WAL appends, snapshots, and crash recovery;
+//! * `partition` — the multi-replica detection plane: partition keys,
 //!   the promise protocol, and replica → replica relays.
 
 pub(crate) mod compile;
@@ -28,7 +28,7 @@ pub(crate) mod partition;
 mod recovery;
 mod release;
 
-use crate::config::ReleasePolicy;
+use crate::config::Ablation;
 use crate::durability::{SnapshotStore, WalWriter};
 use crate::metrics::Metrics;
 use crate::protocol::Msg;
@@ -36,7 +36,7 @@ use crate::watermark::WatermarkTracker;
 use decs_chronos::Nanos;
 use decs_core::CompositeTimestamp;
 use decs_simnet::{Actor, Ctx, NodeIdx};
-use decs_snoop::{EventBatch, EventId, Occurrence, PlanDetector, ShardId, TimerId};
+use decs_snoop::{DefIndex, EventBatch, EventId, Occurrence, PlanDetector, TimerId};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// The slice of [`Ctx`] the coordinator's state transitions actually use.
@@ -165,12 +165,11 @@ pub struct CoordinatorNode {
     pub detections: Vec<RawDetection>,
     /// Metrics counters.
     pub metrics: Metrics,
-    pub(crate) timer_map: HashMap<u64, (ShardId, TimerId)>,
+    pub(crate) timer_map: HashMap<u64, (DefIndex, TimerId)>,
     pub(crate) next_tag: u64,
     pub(crate) gg_nanos: u64,
-    pub(crate) policy: ReleasePolicy,
-    /// Whether release rounds garbage-collect operator buffers.
-    pub(crate) buffer_gc: bool,
+    /// Release on arrival and GC off switches (both off when deployed).
+    pub(crate) ablation: Ablation,
     /// Last watermark the operator buffers were collected at (GC only runs
     /// when the low bound strictly advances).
     pub(crate) last_gc_low: u64,
@@ -237,20 +236,9 @@ impl CoordinatorNode {
     /// Coordinator over `sites` sites, running a pre-compiled detector.
     /// `gg_nanos` is the duration of one global tick (for timer delays).
     pub fn new(sites: usize, detector: PlanDetector<CompositeTimestamp>, gg_nanos: u64) -> Self {
-        Self::with_policy(sites, detector, gg_nanos, ReleasePolicy::Stable)
-    }
-
-    /// Coordinator with an explicit release policy (the `Immediate` policy
-    /// exists for the ablation experiments).
-    pub fn with_policy(
-        sites: usize,
-        detector: PlanDetector<CompositeTimestamp>,
-        gg_nanos: u64,
-        policy: ReleasePolicy,
-    ) -> Self {
         let plan = detector.plan_stats();
         let metrics = Metrics {
-            shard_count: detector.shard_count(),
+            def_count: detector.def_count(),
             stage_count: detector.stage_count(),
             plan_nodes: plan.plan_nodes,
             shared_nodes: plan.shared_nodes,
@@ -268,8 +256,7 @@ impl CoordinatorNode {
             timer_map: HashMap::new(),
             next_tag: 0,
             gg_nanos,
-            policy,
-            buffer_gc: true,
+            ablation: Ablation::default(),
             last_gc_low: 0,
             reportable: HashSet::new(),
             ack_interval: Nanos::ZERO,
@@ -321,24 +308,6 @@ impl CoordinatorNode {
         self.stall_intervals = stall_intervals;
         self.auto_evict = auto_evict;
         self.parked_cap = parked_cap;
-    }
-
-    /// Enable or disable operator-buffer GC (on by default). GC is
-    /// behavior-preserving, so this only trades memory for release-round
-    /// work; the off switch exists for ablation and the occupancy bench.
-    pub fn set_buffer_gc(&mut self, enabled: bool) {
-        self.buffer_gc = enabled;
-    }
-
-    /// Mark event types whose arrivals are reported as detections in their
-    /// own right (used for site-local composite events).
-    pub fn set_reportable(&mut self, ids: impl IntoIterator<Item = EventId>) {
-        self.reportable = ids.into_iter().collect();
-    }
-
-    /// Read access to the watermark tracker (tests/diagnostics).
-    pub fn tracker(&self) -> &WatermarkTracker {
-        &self.tracker
     }
 
     /// Number of notifications awaiting stability.
@@ -531,7 +500,7 @@ mod tests {
         assert_eq!(c.metrics.release_batches, 1);
         assert_eq!(c.metrics.messages_processed, 2);
         assert_eq!(c.metrics.batches_received, 2);
-        assert_eq!(c.metrics.shard_count, 1);
+        assert_eq!(c.metrics.def_count, 1);
     }
 
     #[test]

@@ -96,7 +96,7 @@ use crate::protocol::{Msg, PathStep, PlanePos, RelayedEvent, RoutedEvent};
 use decs_chronos::Nanos;
 use decs_core::CompositeTimestamp;
 use decs_simnet::NodeIdx;
-use decs_snoop::{EventId, Occurrence, ShardFeedResult};
+use decs_snoop::{EventId, FeedResult, Occurrence};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -472,16 +472,16 @@ impl CoordinatorNode {
     /// when this replica's own definitions subscribe.
     fn absorb_partitioned(
         &mut self,
-        r: ShardFeedResult<CompositeTimestamp>,
+        r: FeedResult<CompositeTimestamp>,
         parent: &PartKey,
         immediate: bool,
         ctx: &mut impl CoordCtx,
     ) {
-        for (shard, t) in r.timers {
+        for (def, t) in r.timers {
             let tag = self.next_tag;
             self.next_tag += 1;
             let delay = Nanos(t.delay_ticks * self.gg_nanos);
-            self.timer_map.insert(tag, (shard, t.id));
+            self.timer_map.insert(tag, (def, t.id));
             self.timer_due
                 .insert(tag, ctx.true_now().get().saturating_add(delay.get()));
             ctx.set_timer(delay, tag);
@@ -724,7 +724,7 @@ impl CoordinatorNode {
     /// to the peer bounds, which may trail this replica's own watermark
     /// view.
     fn gc_partitioned(&mut self) {
-        if self.buffer_gc {
+        if !self.ablation.no_buffer_gc {
             let mut low = self.tracker.min_watermark();
             {
                 let part = self.part.as_ref().expect("partitioned");
@@ -767,14 +767,14 @@ impl CoordinatorNode {
     /// root `(g, n_sites + replica, fire_ordinal)`.
     pub(super) fn fire_detector_timer(
         &mut self,
-        shard: decs_snoop::ShardId,
+        def: decs_snoop::DefIndex,
         timer_id: decs_snoop::TimerId,
         ts: CompositeTimestamp,
         ctx: &mut impl CoordCtx,
     ) {
         let g = ts.max_global();
         self.metrics.timer_fires += 1;
-        let r = match self.detector.fire_timer(shard, timer_id, ts) {
+        let r = match self.detector.fire_timer(def, timer_id, ts) {
             Ok(r) => r,
             Err(_) => {
                 debug_assert!(false, "detector rejected timer");

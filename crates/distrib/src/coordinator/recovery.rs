@@ -8,7 +8,7 @@ use crate::durability::{
 };
 use decs_chronos::{GlobalTicks, LocalTicks, Nanos, SiteId};
 use decs_core::{CompositeTimestamp, PrimitiveTimestamp};
-use decs_snoop::{ShardId, TimerId};
+use decs_snoop::{DefIndex, TimerId};
 use std::io;
 use std::path::Path;
 
@@ -112,9 +112,9 @@ impl CoordinatorNode {
         let mut timers: Vec<ArmedTimer> = self
             .timer_map
             .iter()
-            .map(|(&tag, &(shard, timer_id))| ArmedTimer {
+            .map(|(&tag, &(def, timer_id))| ArmedTimer {
                 tag,
-                shard: shard as u64,
+                def: def as u64,
                 timer: timer_id.0,
                 due_ns: self.timer_due.get(&tag).copied().unwrap_or(0),
             })
@@ -215,7 +215,7 @@ impl CoordinatorNode {
         self.timer_due.clear();
         for t in &snap.timers {
             self.timer_map
-                .insert(t.tag, (t.shard as ShardId, TimerId(t.timer)));
+                .insert(t.tag, (t.def as DefIndex, TimerId(t.timer)));
             self.timer_due.insert(t.tag, t.due_ns);
         }
         self.next_tag = snap.next_tag;
@@ -270,7 +270,7 @@ impl CoordinatorNode {
                 local,
             } => {
                 self.timer_due.remove(&tag);
-                let Some((shard, timer_id)) = self.timer_map.remove(&tag) else {
+                let Some((def, timer_id)) = self.timer_map.remove(&tag) else {
                     // A fire for a timer the snapshot no longer tracked —
                     // tolerated, same as the live idempotence rule.
                     return Ok(());
@@ -281,7 +281,7 @@ impl CoordinatorNode {
                     LocalTicks(local),
                 ));
                 let mut ctx = ReplayCtx { now: Nanos(at) };
-                self.fire_detector_timer(shard, timer_id, ts, &mut ctx);
+                self.fire_detector_timer(def, timer_id, ts, &mut ctx);
             }
             WalRecord::Evicted { site, at } => {
                 let mut ctx = ReplayCtx { now: Nanos(at) };

@@ -3,25 +3,20 @@
 //! operator-buffer GC, and servicing detector timer fires.
 
 use super::{CoordCtx, CoordinatorNode, RawDetection, ReleaseKey, ACK_TIMER_TAG, RELAY_RETX_TAG};
-use crate::config::ReleasePolicy;
 use crate::durability::WalRecord;
 use crate::protocol::Msg;
 use decs_chronos::Nanos;
 use decs_core::{CompositeTimestamp, PrimitiveTimestamp};
 use decs_simnet::Ctx;
-use decs_snoop::{Occurrence, ShardFeedResult};
+use decs_snoop::{FeedResult, Occurrence};
 
 impl CoordinatorNode {
-    pub(super) fn absorb(
-        &mut self,
-        r: ShardFeedResult<CompositeTimestamp>,
-        ctx: &mut impl CoordCtx,
-    ) {
-        for (shard, t) in r.timers {
+    pub(super) fn absorb(&mut self, r: FeedResult<CompositeTimestamp>, ctx: &mut impl CoordCtx) {
+        for (def, t) in r.timers {
             let tag = self.next_tag;
             self.next_tag += 1;
             let delay = Nanos(t.delay_ticks * self.gg_nanos);
-            self.timer_map.insert(tag, (shard, t.id));
+            self.timer_map.insert(tag, (def, t.id));
             // Recorded even during replay: the due time is derived from the
             // logged consumption time, so a recovered coordinator re-arms
             // timers at exactly the instants the crashed one had pending.
@@ -114,7 +109,7 @@ impl CoordinatorNode {
     /// stamps sit at the current global tick, ahead of every received
     /// watermark under the `2g_g` clock-sync assumption (Prop 4.1).
     pub(super) fn gc_operator_buffers(&mut self) {
-        if self.buffer_gc {
+        if !self.ablation.no_buffer_gc {
             let low = self.tracker.min_watermark().saturating_sub(2);
             if low > self.last_gc_low {
                 self.last_gc_low = low;
@@ -132,42 +127,39 @@ impl CoordinatorNode {
             .max(self.metrics.node_buffered);
     }
 
-    /// Buffer (or, under `Immediate`, directly feed) one reassembled
-    /// notification. The release key's third component is the per-site
-    /// arrival counter — identical for the `Event` and `Batch` transports.
+    /// Buffer (or, under the release-on-arrival ablation, directly feed)
+    /// one reassembled notification. The release key's third component is
+    /// the per-site arrival counter — identical for the `Event` and
+    /// `Batch` transports.
     pub(super) fn accept_notification(
         &mut self,
         site: usize,
         occ: Occurrence<CompositeTimestamp>,
         ctx: &mut impl CoordCtx,
     ) {
-        match self.policy {
-            ReleasePolicy::Stable => {
-                if occ.time.max_global() < self.release_horizon {
-                    // Its slot in the canonical release order has already
-                    // been passed — the pre-crash backlog of an evicted,
-                    // now rejoining site (a healthy site's watermark
-                    // promise makes this provably unreachable). Refuse it
-                    // *without* consuming an arrival counter, so surviving
-                    // notifications keep the same release keys as a run in
-                    // which the stale backlog never arrived.
-                    self.metrics.stale_refused += 1;
-                    return;
-                }
-                self.metrics.events_received += 1;
-                let arrival = self.streams[site].arrivals;
-                self.streams[site].arrivals += 1;
-                let key: ReleaseKey = (occ.time.max_global(), site as u32, arrival);
-                self.buffer.insert(key, (occ, ctx.true_now()));
-                self.metrics.max_buffered = self.metrics.max_buffered.max(self.buffer.len());
-            }
-            ReleasePolicy::Immediate => {
-                self.metrics.events_received += 1;
-                self.metrics.events_released += 1;
-                self.stage_released(occ, ctx);
-                self.feed_staged(ctx);
-            }
+        if self.ablation.release_on_arrival {
+            self.metrics.events_received += 1;
+            self.metrics.events_released += 1;
+            self.stage_released(occ, ctx);
+            self.feed_staged(ctx);
+            return;
         }
+        if occ.time.max_global() < self.release_horizon {
+            // Its slot in the canonical release order has already been
+            // passed — the pre-crash backlog of an evicted, now rejoining
+            // site (a healthy site's watermark promise makes this provably
+            // unreachable). Refuse it *without* consuming an arrival
+            // counter, so surviving notifications keep the same release
+            // keys as a run in which the stale backlog never arrived.
+            self.metrics.stale_refused += 1;
+            return;
+        }
+        self.metrics.events_received += 1;
+        let arrival = self.streams[site].arrivals;
+        self.streams[site].arrivals += 1;
+        let key: ReleaseKey = (occ.time.max_global(), site as u32, arrival);
+        self.buffer.insert(key, (occ, ctx.true_now()));
+        self.metrics.max_buffered = self.metrics.max_buffered.max(self.buffer.len());
     }
 
     /// The body of [`decs_simnet::Actor::on_timer`]: the periodic
@@ -187,7 +179,7 @@ impl CoordinatorNode {
             self.relay_retx_round(ctx);
             return;
         }
-        let Some((shard, timer_id)) = self.timer_map.remove(&tag) else {
+        let Some((def, timer_id)) = self.timer_map.remove(&tag) else {
             // Not an error: after crash recovery a timer can be queued
             // twice — the crashed node's arming survives in the simulation
             // queue *and* the recovery harness re-arms it for the
@@ -220,6 +212,6 @@ impl CoordinatorNode {
             parts.global,
             parts.local,
         ));
-        self.fire_detector_timer(shard, timer_id, ts, ctx);
+        self.fire_detector_timer(def, timer_id, ts, ctx);
     }
 }

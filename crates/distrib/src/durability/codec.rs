@@ -747,7 +747,7 @@ impl Encode for Metrics {
         self.batches_received.encode(out);
         self.batch_size_max.encode(out);
         self.release_batches.encode(out);
-        self.shard_count.encode(out);
+        self.def_count.encode(out);
         self.plan_nodes.encode(out);
         self.shared_nodes.encode(out);
         self.sharing_ratio.encode(out);
@@ -801,7 +801,7 @@ impl Decode for Metrics {
             batches_received: r.u64()?,
             batch_size_max: usize::decode(r)?,
             release_batches: r.u64()?,
-            shard_count: usize::decode(r)?,
+            def_count: usize::decode(r)?,
             plan_nodes: usize::decode(r)?,
             shared_nodes: usize::decode(r)?,
             sharing_ratio: f64::decode(r)?,

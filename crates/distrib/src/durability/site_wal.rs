@@ -12,7 +12,7 @@
 //!
 //! The log shares the coordinator WAL's frame format and torn-tail
 //! discipline ([`super::wal`]); only the record type differs. Each site
-//! logs into its own subdirectory (`<wal_dir>/site-<i>`), so coordinator
+//! logs into its own subdirectory (`<dir>/site-<i>`), so coordinator
 //! and site logs never interleave.
 //!
 //! Unlike the coordinator's batched fsync, sites sync **per append**: the

@@ -70,9 +70,9 @@ impl Decode for BufferedNotification {
 pub struct ArmedTimer {
     /// Simulation timer tag.
     pub tag: u64,
-    /// Owning detector shard (`ShardId` is `usize`; stored as `u64`).
-    pub shard: u64,
-    /// Detector-side timer id within the shard.
+    /// Owning definition (`DefIndex` is `usize`; stored as `u64`).
+    pub def: u64,
+    /// Detector-side timer id within the definition.
     pub timer: u64,
     /// Absolute true time the timer is due, nanoseconds.
     pub due_ns: u64,
@@ -81,7 +81,7 @@ pub struct ArmedTimer {
 impl Encode for ArmedTimer {
     fn encode(&self, out: &mut Vec<u8>) {
         self.tag.encode(out);
-        self.shard.encode(out);
+        self.def.encode(out);
         self.timer.encode(out);
         self.due_ns.encode(out);
     }
@@ -90,7 +90,7 @@ impl Decode for ArmedTimer {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(ArmedTimer {
             tag: u64::decode(r)?,
-            shard: u64::decode(r)?,
+            def: u64::decode(r)?,
             timer: u64::decode(r)?,
             due_ns: u64::decode(r)?,
         })
@@ -251,7 +251,7 @@ impl SnapshotStore {
         Ok(out)
     }
 
-    /// Persist `snap` atomically and prune all but the [`KEEP`] newest.
+    /// Persist `snap` atomically and prune all but the `KEEP` newest.
     pub fn save(&self, snap: &CoordinatorSnapshot) -> io::Result<()> {
         let payload = to_bytes(snap);
         let mut bytes = Vec::with_capacity(payload.len() + 4);
@@ -314,7 +314,7 @@ mod tests {
             buffer: Vec::new(),
             timers: vec![ArmedTimer {
                 tag: 1,
-                shard: 0,
+                def: 0,
                 timer: 2,
                 due_ns: 9_000,
             }],

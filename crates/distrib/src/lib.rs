@@ -44,14 +44,16 @@ pub mod config;
 pub mod coordinator;
 pub mod durability;
 pub mod engine;
+pub mod error;
 pub mod metrics;
 pub mod protocol;
 pub mod site;
 pub mod watermark;
 
-pub use config::{EngineConfig, ReleasePolicy};
+pub use config::{Ablation, Durability, EngineConfig};
 pub use durability::{CoordinatorSnapshot, SnapshotStore, WalRecord, WalTail, WalWriter};
 pub use engine::{Detection, Engine};
+pub use error::EngineError;
 pub use metrics::Metrics;
 pub use protocol::Msg;
 pub use watermark::WatermarkTracker;

@@ -29,7 +29,7 @@ pub struct Metrics {
     /// Watermark-bounded release rounds that fed at least one notification.
     pub release_batches: u64,
     /// Global definitions compiled into the coordinator's plan.
-    pub shard_count: usize,
+    pub def_count: usize,
     /// Unique operator nodes in the coordinator's compiled plan.
     pub plan_nodes: usize,
     /// Plan nodes shared by more than one definition.

@@ -14,7 +14,7 @@ use crate::protocol::{sack_valid, Msg, RoutedEvent};
 use decs_chronos::Nanos;
 use decs_core::{CompositeTimestamp, PrimitiveTimestamp};
 use decs_simnet::{Actor, Ctx, NodeIdx, SplitMix64};
-use decs_snoop::{EventId, Occurrence, PlanDetector, PlanState, ShardFeedResult, ShardId, TimerId};
+use decs_snoop::{DefIndex, EventId, FeedResult, Occurrence, PlanDetector, PlanState, TimerId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io;
 use std::ops::Bound;
@@ -248,7 +248,7 @@ pub struct LocalDetection {
     pub translate: HashMap<EventId, EventId>,
     /// Nanoseconds per global tick (to schedule local temporal operators).
     pub gg_nanos: u64,
-    timer_map: HashMap<u64, (ShardId, TimerId)>,
+    timer_map: HashMap<u64, (DefIndex, TimerId)>,
     next_tag: u64,
 }
 
@@ -670,7 +670,7 @@ impl SiteNode {
 
     /// Absorb a local feed result: count + forward detections, schedule
     /// local timers.
-    fn absorb_local(&mut self, r: ShardFeedResult<CompositeTimestamp>, ctx: &mut Ctx<'_, Msg>) {
+    fn absorb_local(&mut self, r: FeedResult<CompositeTimestamp>, ctx: &mut Ctx<'_, Msg>) {
         let gen = self.gen;
         if let Some(local) = &mut self.local {
             for (def, t) in r.timers {

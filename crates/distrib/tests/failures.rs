@@ -3,7 +3,7 @@
 //! restores progress.
 
 use decs_chronos::{Granularity, Nanos};
-use decs_distrib::{Engine, EngineConfig, ReleasePolicy};
+use decs_distrib::{Ablation, Engine, EngineConfig};
 use decs_simnet::{LinkConfig, Scenario, ScenarioBuilder};
 use decs_snoop::{Context, EventExpr as E};
 
@@ -15,14 +15,24 @@ fn scenario(sites: u32) -> Scenario {
         .unwrap()
 }
 
-fn seq_engine(sites: u32, policy: ReleasePolicy) -> Engine {
-    Engine::new(
+/// The deployed release rule: wait for watermark stability.
+const STABLE: Ablation = Ablation {
+    release_on_arrival: false,
+    no_buffer_gc: false,
+};
+/// The E11 ablation: feed notifications in arrival order.
+const IMMEDIATE: Ablation = Ablation {
+    release_on_arrival: true,
+    no_buffer_gc: false,
+};
+
+fn seq_engine(sites: u32, ablation: Ablation) -> Engine {
+    Engine::ablated(
         &scenario(sites),
-        EngineConfig {
-            release_policy: policy,
-            ..EngineConfig::default()
-        },
+        EngineConfig::default(),
+        ablation,
         &["A", "B"],
+        &[],
         &[("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle)],
     )
     .unwrap()
@@ -30,7 +40,7 @@ fn seq_engine(sites: u32, policy: ReleasePolicy) -> Engine {
 
 #[test]
 fn crashed_site_stalls_stability() {
-    let mut e = seq_engine(3, ReleasePolicy::Stable);
+    let mut e = seq_engine(3, STABLE);
     // Site 2 dies immediately; sites 0 and 1 exchange a clean sequence.
     e.crash_site(Nanos::from_millis(1), 2);
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
@@ -45,7 +55,7 @@ fn crashed_site_stalls_stability() {
 
 #[test]
 fn eviction_restores_progress() {
-    let mut e = seq_engine(3, ReleasePolicy::Stable);
+    let mut e = seq_engine(3, STABLE);
     e.crash_site(Nanos::from_millis(1), 2);
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
     e.inject(Nanos::from_secs(2), 1, "B", vec![]).unwrap();
@@ -59,7 +69,7 @@ fn eviction_restores_progress() {
 
 #[test]
 fn crash_after_sending_preserves_its_events() {
-    let mut e = seq_engine(2, ReleasePolicy::Stable);
+    let mut e = seq_engine(2, STABLE);
     // Site 1 sends B then dies; site 0 stays alive.
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
     e.inject(Nanos::from_secs(2), 1, "B", vec![]).unwrap();
@@ -73,7 +83,7 @@ fn crash_after_sending_preserves_its_events() {
 
 #[test]
 fn immediate_policy_does_not_stall_but_is_timing_dependent() {
-    let mut e = seq_engine(3, ReleasePolicy::Immediate);
+    let mut e = seq_engine(3, IMMEDIATE);
     e.crash_site(Nanos::from_millis(1), 2);
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
     e.inject(Nanos::from_secs(2), 1, "B", vec![]).unwrap();
@@ -149,7 +159,7 @@ fn evict_with_flushed_batches_buffered_preserves_them() {
 
 #[test]
 fn evicting_a_live_site_refuses_new_events_but_keeps_buffered_ones() {
-    let mut e = seq_engine(3, ReleasePolicy::Stable);
+    let mut e = seq_engine(3, STABLE);
     // A clean pre-evict pair: A (site 0) then B (site 1).
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
     e.inject(Nanos::from_secs(2), 1, "B", vec![]).unwrap();
@@ -177,7 +187,7 @@ fn retransmitted_copy_of_delayed_event_is_deduplicated() {
     // the site's 200 ms retransmission timer fires while the original copy
     // is still *in flight* — delayed, not dropped. The site then crashes.
     // The coordinator receives both copies and must release exactly once.
-    let mut e = seq_engine(2, ReleasePolicy::Stable);
+    let mut e = seq_engine(2, STABLE);
     e.set_link_pair(
         1,
         LinkConfig {
@@ -208,7 +218,7 @@ fn retransmitted_copy_of_delayed_event_is_deduplicated() {
 
 #[test]
 fn injections_to_crashed_site_are_dropped() {
-    let mut e = seq_engine(2, ReleasePolicy::Stable);
+    let mut e = seq_engine(2, STABLE);
     e.crash_site(Nanos::from_millis(1), 0);
     e.inject(Nanos::from_secs(1), 0, "A", vec![]).unwrap();
     e.run_for(Nanos::from_secs(2));

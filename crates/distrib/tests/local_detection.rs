@@ -3,7 +3,7 @@
 //! composites built on top of them — the paper's two-level architecture.
 
 use decs_chronos::{Granularity, Nanos};
-use decs_distrib::{Engine, EngineConfig, ReleasePolicy};
+use decs_distrib::{Ablation, Engine, EngineConfig};
 use decs_simnet::{Scenario, ScenarioBuilder};
 use decs_snoop::{Context, EventExpr as E};
 
@@ -274,23 +274,25 @@ fn local_arrivals_interleave_with_global_detections_in_release_order() {
         .iter()
         .map(|&(name, time)| (name.to_string(), time.to_string()))
         .collect();
-    assert_eq!(interleaved_run(ReleasePolicy::Stable), want);
+    assert_eq!(interleaved_run(false), want);
     // Immediate feeds in arrival order: only the two concurrent
     // `trip_then_req` detections trade places.
     want.swap(7, 8);
-    assert_eq!(interleaved_run(ReleasePolicy::Immediate), want);
+    assert_eq!(interleaved_run(true), want);
 }
 
 /// Local round trips reach the coordinator as reportable arrivals while
 /// global definitions over the same primitives fire in the same release
 /// rounds: the full `(name, timestamp)` sequence pins where each arrival
 /// is reported among its neighbours' detections.
-fn interleaved_run(release_policy: ReleasePolicy) -> Vec<(String, String)> {
-    let mut e = Engine::with_local(
+/// `release_on_arrival` switches to the Immediate (E11) ablation.
+fn interleaved_run(release_on_arrival: bool) -> Vec<(String, String)> {
+    let mut e = Engine::ablated(
         &scenario(2),
-        EngineConfig {
-            release_policy,
-            ..EngineConfig::default()
+        EngineConfig::default(),
+        Ablation {
+            release_on_arrival,
+            ..Ablation::default()
         },
         &["req", "resp"],
         &[(

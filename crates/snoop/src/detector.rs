@@ -13,7 +13,7 @@ use crate::error::Result;
 use crate::event::{Catalog, EventId, Occurrence, Value};
 use crate::expr::EventExpr;
 use crate::graph::TimerId;
-use crate::plan::{PlanDetector, PlanStats, ShardFeedResult, ShardId};
+use crate::plan::{DefIndex, FeedResult, PlanDetector, PlanStats};
 use crate::time::CentralTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -25,7 +25,7 @@ use std::collections::BinaryHeap;
 pub struct CentralDetector {
     plan: PlanDetector<CentralTime>,
     /// Due timers: `(fire_tick, owning definition, id)`, min-heap.
-    timers: BinaryHeap<Reverse<(u64, ShardId, u64)>>,
+    timers: BinaryHeap<Reverse<(u64, DefIndex, u64)>>,
     /// Highest tick seen (for monotonicity checking).
     now: u64,
     /// Whether the clock drives buffer GC (on by default).
@@ -223,7 +223,7 @@ impl CentralDetector {
     /// append its detections.
     fn absorb(
         &mut self,
-        r: ShardFeedResult<CentralTime>,
+        r: FeedResult<CentralTime>,
         base_tick: u64,
         detected: &mut Vec<Occurrence<CentralTime>>,
     ) {
@@ -427,7 +427,7 @@ mod tests {
         }
         let mut due = BinaryHeap::new();
         let mut out = Vec::new();
-        let mut absorb = |r: ShardFeedResult<CentralTime>, base: u64, due: &mut BinaryHeap<_>| {
+        let mut absorb = |r: FeedResult<CentralTime>, base: u64, due: &mut BinaryHeap<_>| {
             for (s, t) in r.timers {
                 due.push(Reverse((base + t.delay_ticks, s, t.id.0)));
             }

@@ -47,18 +47,19 @@ pub struct TimerRequest {
     pub delay_ticks: u64,
 }
 
-/// Everything one feed/fire step produced.
+/// Everything one [`EventGraph`] feed/fire step produced (the shared
+/// plan's counterpart is [`crate::FeedResult`]).
 #[derive(Debug, Clone, Default)]
-pub struct FeedResult<T> {
+pub struct GraphFeedResult<T> {
     /// Occurrences of *named* composite events, in detection order.
     pub detected: Vec<Occurrence<T>>,
     /// New timer requests for the driver.
     pub timers: Vec<TimerRequest>,
 }
 
-impl<T> FeedResult<T> {
-    fn new() -> Self {
-        FeedResult {
+impl<T> GraphFeedResult<T> {
+    pub(crate) fn new() -> Self {
+        GraphFeedResult {
             detected: Vec::new(),
             timers: Vec::new(),
         }
@@ -173,7 +174,7 @@ impl<T: EventTime> EventGraph<T> {
     /// Compile `expr` as the definition of the named composite event
     /// `name`, under parameter context `ctx`. Registers `name` in the
     /// catalog (it must not already exist) and returns its event id.
-    /// Occurrences of `name` are reported in [`FeedResult::detected`] and
+    /// Occurrences of `name` are reported in [`GraphFeedResult::detected`] and
     /// also feed any later-compiled expression that references `name`.
     pub fn compile(
         &mut self,
@@ -372,8 +373,8 @@ impl<T: EventTime> EventGraph<T> {
     /// Taking the occurrence by value lets the last subscriber receive it
     /// by move, so single-subscriber delivery (the common case) is
     /// clone-free; see [`EventGraph::feed_ref`] for the borrowing variant.
-    pub fn feed(&mut self, occ: Occurrence<T>) -> FeedResult<T> {
-        let mut result = FeedResult::new();
+    pub fn feed(&mut self, occ: Occurrence<T>) -> GraphFeedResult<T> {
+        let mut result = GraphFeedResult::new();
         let mut queue: VecDeque<(NodeId, usize, Occurrence<T>)> = VecDeque::new();
         match self.subs.get(&occ.ty) {
             None => return result,
@@ -393,8 +394,8 @@ impl<T: EventTime> EventGraph<T> {
     /// graph itself. Callers that fan one occurrence out to several graphs
     /// (the reference interpreter's routing) use this to avoid a clone per
     /// graph.
-    pub fn feed_ref(&mut self, occ: &Occurrence<T>) -> FeedResult<T> {
-        let mut result = FeedResult::new();
+    pub fn feed_ref(&mut self, occ: &Occurrence<T>) -> GraphFeedResult<T> {
+        let mut result = GraphFeedResult::new();
         let mut queue: VecDeque<(NodeId, usize, Occurrence<T>)> = VecDeque::new();
         self.enqueue_subscribers(occ, &mut queue);
         self.drain(queue, &mut result);
@@ -403,12 +404,12 @@ impl<T: EventTime> EventGraph<T> {
 
     /// Deliver a previously requested timer with the timestamp the driver
     /// assigned to it.
-    pub fn fire_timer(&mut self, id: TimerId, time: T) -> Result<FeedResult<T>> {
+    pub fn fire_timer(&mut self, id: TimerId, time: T) -> Result<GraphFeedResult<T>> {
         let (node, tag) = self
             .timers
             .remove(&id)
             .ok_or(SnoopError::UnknownTimer(id.0))?;
-        let mut result = FeedResult::new();
+        let mut result = GraphFeedResult::new();
         let mut queue = VecDeque::new();
         let entry = &mut self.nodes[node.0 as usize];
         let mut emissions = Vec::new();
@@ -437,7 +438,7 @@ impl<T: EventTime> EventGraph<T> {
     fn drain(
         &mut self,
         mut queue: VecDeque<(NodeId, usize, Occurrence<T>)>,
-        result: &mut FeedResult<T>,
+        result: &mut GraphFeedResult<T>,
     ) {
         while let Some((node, slot, occ)) = queue.pop_front() {
             let entry = &mut self.nodes[node.0 as usize];
@@ -457,7 +458,7 @@ impl<T: EventTime> EventGraph<T> {
         emissions: Vec<Occurrence<T>>,
         timer_reqs: Vec<(u64, u64)>,
         queue: &mut VecDeque<(NodeId, usize, Occurrence<T>)>,
-        result: &mut FeedResult<T>,
+        result: &mut GraphFeedResult<T>,
     ) {
         for (tag, delay) in timer_reqs {
             let id = TimerId(self.next_timer);

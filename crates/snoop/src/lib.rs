@@ -46,9 +46,9 @@ pub use detector::CentralDetector;
 pub use error::{Result, SnoopError};
 pub use event::{Catalog, EventId, Occurrence, ParamList, ParamTuple, Value};
 pub use expr::EventExpr;
-pub use graph::{EventGraph, FeedResult, NodeId, TimerId, TimerRequest};
+pub use graph::{EventGraph, GraphFeedResult, NodeId, TimerId, TimerRequest};
 pub use nodes::mask::Mask;
-pub use plan::{PlanDetector, PlanStats, ShardFeedResult, ShardId};
+pub use plan::{DefIndex, FeedResult, PlanDetector, PlanStats};
 pub use reference::ReferenceDetector;
 pub use state::{DefTimers, NodeState, PlanState};
 pub use time::{CentralTime, EventTime};

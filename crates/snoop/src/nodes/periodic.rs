@@ -183,7 +183,7 @@ impl<T: EventTime> OperatorNode<T> for PNode<T> {
         Some(self.core.period)
     }
 
-    /// See [`PeriodicCore::save_state`] for the encoding.
+    /// See `PeriodicCore::save_state` for the encoding.
     fn save_state(&self) -> crate::state::NodeState<T> {
         self.core.save_state()
     }
@@ -257,7 +257,7 @@ impl<T: EventTime> OperatorNode<T> for PStarNode<T> {
         Some(self.core.period)
     }
 
-    /// See [`PeriodicCore::save_state`] for the encoding.
+    /// See `PeriodicCore::save_state` for the encoding.
     fn save_state(&self) -> crate::state::NodeState<T> {
         self.core.save_state()
     }

@@ -5,8 +5,8 @@
 //! definitions is compiled — and fed — ten times. [`PlanDetector`]
 //! compiles all definitions into **one** plan of unique operator nodes:
 //! structurally identical subexpressions (same operator, same context,
-//! same children) hash-cons to a single [`PlanNode`] with multi-parent
-//! fan-out, and each definition keeps a lightweight [`DefView`] of
+//! same children) hash-cons to a single `PlanNode` with multi-parent
+//! fan-out, and each definition keeps a lightweight `DefView` of
 //! *positions* (one per subexpression occurrence) that routes the shared
 //! node's output to the definition's own parents.
 //!
@@ -48,7 +48,7 @@ use crate::context::Context;
 use crate::error::{Result, SnoopError};
 use crate::event::{Catalog, EventId, Occurrence};
 use crate::expr::EventExpr;
-use crate::graph::{FeedResult, TimerId, TimerRequest};
+use crate::graph::{GraphFeedResult, TimerId, TimerRequest};
 use crate::nodes::mask::Mask;
 use crate::nodes::{self, OperatorNode, Sink};
 use crate::state::{DefTimers, PlanState};
@@ -57,21 +57,21 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt;
 
 /// Index of a definition (timer handles and routes are keyed by it).
-pub type ShardId = usize;
+pub type DefIndex = usize;
 
 /// Everything one feed/fire step produced.
 #[derive(Debug, Clone)]
-pub struct ShardFeedResult<T> {
+pub struct FeedResult<T> {
     /// Occurrences of named composite events, in canonical merge order.
     pub detected: Vec<Occurrence<T>>,
     /// New timer requests, tagged with the definition that owns the timer
     /// id (timer ids are only unique within a definition).
-    pub timers: Vec<(ShardId, TimerRequest)>,
+    pub timers: Vec<(DefIndex, TimerRequest)>,
 }
 
-impl<T> Default for ShardFeedResult<T> {
+impl<T> Default for FeedResult<T> {
     fn default() -> Self {
-        ShardFeedResult {
+        FeedResult {
             detected: Vec::new(),
             timers: Vec::new(),
         }
@@ -275,7 +275,7 @@ struct DefScratch<T> {
     queue: VecDeque<(u32, usize, Occurrence<T>)>,
     emissions: Vec<Occurrence<T>>,
     timer_reqs: Vec<(u64, u64)>,
-    result: FeedResult<T>,
+    result: GraphFeedResult<T>,
 }
 
 impl<T> Default for DefScratch<T> {
@@ -284,10 +284,7 @@ impl<T> Default for DefScratch<T> {
             queue: VecDeque::new(),
             emissions: Vec::new(),
             timer_reqs: Vec::new(),
-            result: FeedResult {
-                detected: Vec::new(),
-                timers: Vec::new(),
-            },
+            result: GraphFeedResult::new(),
         }
     }
 }
@@ -442,7 +439,7 @@ pub struct PlanDetector<T: EventTime> {
     /// Event type → definitions subscribed to it, ascending. Indexed
     /// densely by `EventId` (an empty slot = unrouted) so the hot path
     /// routes with one bounds-checked load instead of a hash.
-    routes: Vec<Vec<ShardId>>,
+    routes: Vec<Vec<DefIndex>>,
     /// Reusable hot-path buffers (empty between public calls).
     scratch: Scratch<T>,
     /// Topological level of each definition in the dependency DAG.
@@ -880,13 +877,8 @@ impl<T: EventTime> PlanDetector<T> {
 
     /// Number of definitions (timer handles and routes are keyed by
     /// definition index).
-    pub fn shard_count(&self) -> usize {
+    pub fn def_count(&self) -> usize {
         self.defs.len()
-    }
-
-    /// Topological level of definition `d` in the dependency DAG.
-    pub fn shard_level(&self, d: ShardId) -> usize {
-        self.levels[d]
     }
 
     /// Number of topological stages in the definition dependency DAG.
@@ -895,12 +887,12 @@ impl<T: EventTime> PlanDetector<T> {
     }
 
     /// Event types definition `d` subscribes to, ascending.
-    pub fn shard_subscriptions(&self, d: ShardId) -> impl Iterator<Item = EventId> + '_ {
+    pub fn def_subscriptions(&self, d: DefIndex) -> impl Iterator<Item = EventId> + '_ {
         self.defs[d].subscribed.iter().copied()
     }
 
     /// The definitions subscribed to `ty`, ascending (empty = unrouted).
-    fn route(&self, ty: EventId) -> &[ShardId] {
+    fn route(&self, ty: EventId) -> &[DefIndex] {
         self.routes.get(ty.0 as usize).map_or(&[], Vec::as_slice)
     }
 
@@ -966,8 +958,8 @@ impl<T: EventTime> PlanDetector<T> {
 
     /// Feed one occurrence, cascading named detections (canonical order)
     /// into the definitions that reference them.
-    pub fn feed(&mut self, occ: Occurrence<T>) -> ShardFeedResult<T> {
-        let mut out = ShardFeedResult::default();
+    pub fn feed(&mut self, occ: Occurrence<T>) -> FeedResult<T> {
+        let mut out = FeedResult::default();
         self.pump_one(occ, &mut out);
         self.trim_logs();
         out
@@ -976,7 +968,7 @@ impl<T: EventTime> PlanDetector<T> {
     /// Deliver a previously requested timer on the definition that owns
     /// it. Temporal nodes are always private, so this never touches the
     /// shared log.
-    pub fn fire_timer(&mut self, d: ShardId, id: TimerId, time: T) -> Result<ShardFeedResult<T>> {
+    pub fn fire_timer(&mut self, d: DefIndex, id: TimerId, time: T) -> Result<FeedResult<T>> {
         let (p, tag) = self.defs[d]
             .timers
             .remove(&id)
@@ -992,7 +984,7 @@ impl<T: EventTime> PlanDetector<T> {
         }
         postprocess_def(&mut self.defs[d], p, &mut s);
         drain_def(&mut self.nodes, &mut self.defs[d], &mut s);
-        let mut out = ShardFeedResult::default();
+        let mut out = FeedResult::default();
         out.timers
             .extend(s.result.timers.into_iter().map(|t| (d, t)));
         let mut round = s.result.detected;
@@ -1015,8 +1007,8 @@ impl<T: EventTime> PlanDetector<T> {
 
     /// Feed a whole batch; semantically identical to feeding each
     /// occurrence in order.
-    pub fn feed_batch(&mut self, occs: Vec<Occurrence<T>>) -> ShardFeedResult<T> {
-        let mut out = ShardFeedResult::default();
+    pub fn feed_batch(&mut self, occs: Vec<Occurrence<T>>) -> FeedResult<T> {
+        let mut out = FeedResult::default();
         for occ in occs {
             self.pump_one(occ, &mut out);
         }
@@ -1028,14 +1020,14 @@ impl<T: EventTime> PlanDetector<T> {
     /// occurrences (an unrouted primitive type cannot contribute to any
     /// detection), then the batch path takes over. Bit-identical to
     /// materializing every row and calling [`Self::feed_batch`].
-    pub fn feed_batch_columnar(&mut self, batch: &EventBatch<T>) -> ShardFeedResult<T> {
+    pub fn feed_batch_columnar(&mut self, batch: &EventBatch<T>) -> FeedResult<T> {
         let occs = batch.materialize_routed(|ty| !self.route(ty).is_empty());
         self.feed_batch(occs)
     }
 
     /// BFS cascade for a single trigger, on the detector scratch: the
     /// per-event loop of a serial batch feed allocates nothing.
-    fn pump_one(&mut self, occ: Occurrence<T>, out: &mut ShardFeedResult<T>) {
+    fn pump_one(&mut self, occ: Occurrence<T>, out: &mut FeedResult<T>) {
         let mut s = std::mem::take(&mut self.scratch);
         debug_assert!(s.wave.is_empty());
         s.wave.push(occ);
@@ -1044,7 +1036,7 @@ impl<T: EventTime> PlanDetector<T> {
     }
 
     /// BFS cascade: serial waves until no detections remain.
-    fn pump(&mut self, wave: Vec<Occurrence<T>>, out: &mut ShardFeedResult<T>) {
+    fn pump(&mut self, wave: Vec<Occurrence<T>>, out: &mut FeedResult<T>) {
         let mut s = std::mem::take(&mut self.scratch);
         debug_assert!(s.wave.is_empty());
         s.wave.extend(wave);
@@ -1052,7 +1044,7 @@ impl<T: EventTime> PlanDetector<T> {
         self.scratch = s;
     }
 
-    fn run_waves(&mut self, s: &mut Scratch<T>, out: &mut ShardFeedResult<T>) {
+    fn run_waves(&mut self, s: &mut Scratch<T>, out: &mut FeedResult<T>) {
         while !s.wave.is_empty() {
             self.wave_step(s, out);
             std::mem::swap(&mut s.wave, &mut s.next);
@@ -1066,7 +1058,7 @@ impl<T: EventTime> PlanDetector<T> {
     /// case never clones it — and a detection is cloned into `s.next` only
     /// when some definition subscribes to its type (an unrouted trigger
     /// would be skipped by the next wave anyway).
-    fn wave_step(&mut self, s: &mut Scratch<T>, out: &mut ShardFeedResult<T>) {
+    fn wave_step(&mut self, s: &mut Scratch<T>, out: &mut FeedResult<T>) {
         let severed = self.severed;
         let PlanDetector {
             routes,
@@ -1533,7 +1525,7 @@ mod tests {
         ];
         let (_, plan) = assert_equivalent(&["A", "B", "C"], &defs, &base_trace());
         assert_eq!(plan.stage_count(), 2);
-        assert_eq!(plan.shard_level(1), 1);
+        assert_eq!(plan.levels[1], 1);
         // Seq(X, C) shared between Z (root) and W (inner).
         assert_eq!(plan.shared_node_count(), 1);
     }
@@ -1809,8 +1801,7 @@ mod tests {
             plan.define(name, expr, Context::Chronicle).unwrap();
         }
         // X and Y reference only primitives; Z references X; W references Z.
-        let levels: Vec<usize> = (0..4).map(|d| plan.shard_level(d)).collect();
-        assert_eq!(levels, vec![0, 0, 1, 2]);
+        assert_eq!(plan.levels, vec![0, 0, 1, 2]);
         assert_eq!(plan.stage_count(), 3);
     }
 
@@ -1861,7 +1852,7 @@ mod tests {
             Err(SnoopError::UnknownEvent(_))
         ));
         assert_eq!(plan.plan_node_count(), before);
-        assert_eq!(plan.shard_count(), 0);
+        assert_eq!(plan.def_count(), 0);
         // The failed name stays registered (the oracle's compile registers
         // before building too), so it cannot be reused…
         assert!(matches!(

@@ -17,7 +17,7 @@ use crate::error::Result;
 use crate::event::{Catalog, EventId, Occurrence};
 use crate::expr::EventExpr;
 use crate::graph::{EventGraph, TimerId};
-use crate::plan::{sort_canonical, ShardFeedResult, ShardId};
+use crate::plan::{sort_canonical, DefIndex, FeedResult};
 use crate::time::EventTime;
 use std::collections::HashMap;
 
@@ -28,7 +28,7 @@ pub struct ReferenceDetector<T: EventTime> {
     /// One graph per definition, in `define` order.
     graphs: Vec<EventGraph<T>>,
     /// Event type → definitions subscribed to it, ascending.
-    routes: HashMap<EventId, Vec<ShardId>>,
+    routes: HashMap<EventId, Vec<DefIndex>>,
 }
 
 impl<T: EventTime> ReferenceDetector<T> {
@@ -72,17 +72,17 @@ impl<T: EventTime> ReferenceDetector<T> {
 
     /// Feed one occurrence, cascading named detections into the
     /// definitions that reference them.
-    pub fn feed(&mut self, occ: Occurrence<T>) -> ShardFeedResult<T> {
-        let mut out = ShardFeedResult::default();
+    pub fn feed(&mut self, occ: Occurrence<T>) -> FeedResult<T> {
+        let mut out = FeedResult::default();
         self.cascade(vec![occ], &mut out);
         out
     }
 
     /// Deliver a previously requested timer on the definition that owns
     /// it, then cascade its detections.
-    pub fn fire_timer(&mut self, d: ShardId, id: TimerId, time: T) -> Result<ShardFeedResult<T>> {
+    pub fn fire_timer(&mut self, d: DefIndex, id: TimerId, time: T) -> Result<FeedResult<T>> {
         let r = self.graphs[d].fire_timer(id, time)?;
-        let mut out = ShardFeedResult::default();
+        let mut out = FeedResult::default();
         out.timers.extend(r.timers.into_iter().map(|t| (d, t)));
         let mut round = r.detected;
         sort_canonical(&mut round);
@@ -93,7 +93,7 @@ impl<T: EventTime> ReferenceDetector<T> {
 
     /// Breadth-first cascade: each wave's occurrences are routed in order,
     /// and each trigger's canonically merged detections form the next wave.
-    fn cascade(&mut self, mut wave: Vec<Occurrence<T>>, out: &mut ShardFeedResult<T>) {
+    fn cascade(&mut self, mut wave: Vec<Occurrence<T>>, out: &mut FeedResult<T>) {
         while !wave.is_empty() {
             let mut next = Vec::new();
             for occ in wave {

@@ -218,7 +218,6 @@ fn retransmit_jitter_spreads_the_thundering_herd() {
     // (per-site sorted retransmit instants during the outage, detections)
     fn run(jitter: Option<u64>) -> (Vec<Vec<u64>>, Vec<(String, u64)>) {
         let config = EngineConfig {
-            trace_capacity: 100_000,
             // Push heartbeats past the horizon: the only site sends in
             // the observation window are then the retransmit rounds.
             heartbeat_interval: Nanos::from_secs(60),
@@ -232,6 +231,7 @@ fn retransmit_jitter_spreads_the_thundering_herd() {
             &[("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle)],
         )
         .unwrap();
+        e.enable_trace(100_000);
         for site in 0..3 {
             e.partition_site(site, Nanos::from_millis(350), Nanos::from_secs(10));
         }

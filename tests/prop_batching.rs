@@ -46,7 +46,7 @@ fn build(sites: u32, seed: u64, batch_interval: Nanos) -> Engine {
         &NAMES,
         // Three definitions: two over disjoint/overlapping primitives and
         // one referencing another named composite, so the coordinator's
-        // shard cascade is exercised end to end.
+        // definition cascade is exercised end to end.
         &[
             ("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle),
             (
@@ -99,7 +99,7 @@ fn batched_transport_is_equivalent_to_per_event() {
         assert_eq!(m0.batch_size_max, 0);
         assert!(m1.batches_received > 0);
         assert_eq!(m1.batch_size_max > 0, m1.events_received > 0);
-        assert_eq!(m1.shard_count, 3);
+        assert_eq!(m1.def_count, 3);
     });
 }
 

@@ -18,7 +18,7 @@
 //!    that makes GC a pure memory optimization.
 
 use decs::core::{cts, max_op, max_op_naive, CompositeTimestamp};
-use decs::distrib::{Engine, EngineConfig, Metrics};
+use decs::distrib::{Ablation, Engine, EngineConfig, Metrics};
 use decs::simnet::ScenarioBuilder;
 use decs::snoop::{Context, EventExpr as E};
 use decs_chronos::{Granularity, Nanos};
@@ -252,16 +252,18 @@ fn build(sites: u32, seed: u64, buffer_gc: bool) -> Engine {
         .max_offset_ns(1_000_000)
         .build()
         .unwrap();
-    Engine::new(
+    Engine::ablated(
         &scenario,
-        EngineConfig {
-            buffer_gc,
-            ..EngineConfig::default()
+        EngineConfig::default(),
+        Ablation {
+            no_buffer_gc: !buffer_gc,
+            ..Ablation::default()
         },
         &NAMES,
+        &[],
         // A NOT definition (the operator whose buffers GC actually
         // reclaims), an ANY under Unrestricted (the structural-truncation
-        // rule), and a cross-definition sequence for the shard cascade.
+        // rule), and a cross-definition sequence for the definition cascade.
         &[
             (
                 "N",

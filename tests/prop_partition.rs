@@ -21,7 +21,7 @@
 //! earlier slot. The engine then merges the per-replica detection
 //! streams by partition key below the promise cut.
 
-use decs::distrib::{Detection, Engine, EngineConfig};
+use decs::distrib::{Ablation, Detection, Durability, Engine, EngineConfig};
 use decs::simnet::{Scenario, ScenarioBuilder, SplitMix64};
 use decs::snoop::{Context, EventExpr as E, Occurrence};
 use decs_chronos::{Granularity, Nanos};
@@ -41,12 +41,12 @@ fn scenario(seed: u64) -> Scenario {
 /// The config matrix: operator-buffer GC on and off — the switch that
 /// changes how much machinery sits between a routed announcement and a
 /// detection.
-fn matrix() -> Vec<EngineConfig> {
+fn matrix() -> Vec<Ablation> {
     [true, false]
         .into_iter()
-        .map(|buffer_gc| EngineConfig {
-            buffer_gc,
-            ..EngineConfig::default()
+        .map(|buffer_gc| Ablation {
+            no_buffer_gc: !buffer_gc,
+            ..Ablation::default()
         })
         .collect()
 }
@@ -66,10 +66,13 @@ fn defs() -> Vec<(&'static str, E, Context)> {
     ]
 }
 
-fn engine(seed: u64, mut config: EngineConfig, replicas: usize) -> Engine {
-    config.coordinator_replicas = replicas;
+fn engine(seed: u64, ablation: Ablation, replicas: usize) -> Engine {
+    let config = EngineConfig {
+        coordinator_replicas: replicas,
+        ..EngineConfig::default()
+    };
     let d = defs();
-    Engine::new(&scenario(seed), config, &["A", "B", "C"], &d).unwrap()
+    Engine::ablated(&scenario(seed), config, ablation, &["A", "B", "C"], &[], &d).unwrap()
 }
 
 fn workload(seed: u64) -> Vec<(u64, u32, &'static str)> {
@@ -104,11 +107,11 @@ fn keys(det: Vec<Detection>) -> Vec<Key> {
 }
 
 /// One partition-invariance case: N = 1 vs N = 2 vs N = 4.
-fn partition_case(seed: u64, cfg_idx: usize, config: EngineConfig) {
+fn partition_case(seed: u64, cfg_idx: usize, ablation: Ablation) {
     let w = workload(seed);
 
     let run = |replicas: usize| {
-        let mut e = engine(seed, config.clone(), replicas);
+        let mut e = engine(seed, ablation, replicas);
         inject_all(&mut e, &w);
         let det = keys(e.run_until(HORIZON));
         assert_eq!(
@@ -142,8 +145,8 @@ fn partition_case(seed: u64, cfg_idx: usize, config: EngineConfig) {
 
 fn run_block(seeds: std::ops::Range<u64>) {
     for seed in seeds {
-        for (cfg_idx, config) in matrix().into_iter().enumerate() {
-            partition_case(seed, cfg_idx, config);
+        for (cfg_idx, ablation) in matrix().into_iter().enumerate() {
+            partition_case(seed, cfg_idx, ablation);
         }
     }
 }
@@ -172,7 +175,7 @@ fn partition_block2_matches_single_coordinator() {
 fn replica_crash_and_recovery_is_invisible() {
     for seed in 0..6u64 {
         let w = workload(seed);
-        let mut clean = engine(seed, EngineConfig::default(), 1);
+        let mut clean = engine(seed, Ablation::default(), 1);
         inject_all(&mut clean, &w);
         let expect = keys(clean.run_until(HORIZON));
 
@@ -187,8 +190,10 @@ fn replica_crash_and_recovery_is_invisible() {
 
         let config = EngineConfig {
             coordinator_replicas: replicas,
-            durability: true,
-            wal_dir: Some(dir.to_string_lossy().into_owned()),
+            durability: Some(Durability {
+                dir: dir.clone(),
+                snapshot_interval: 8,
+            }),
             ..EngineConfig::default()
         };
         let d = defs();

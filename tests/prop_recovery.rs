@@ -20,7 +20,7 @@
 //! OS timer file or cron would not — hence the recovery harness re-arms
 //! them too, idempotently).
 
-use decs::distrib::{Detection, Engine, EngineConfig};
+use decs::distrib::{Ablation, Detection, Durability, Engine, EngineConfig};
 use decs::simnet::{Scenario, ScenarioBuilder, SplitMix64};
 use decs::snoop::{Context, EventExpr as E, Occurrence};
 use decs_chronos::{Granularity, Nanos};
@@ -41,12 +41,12 @@ fn scenario(seed: u64) -> Scenario {
 /// The config matrix: operator-buffer GC on and off — the switch that
 /// changes how much machinery sits between a released notification and a
 /// detection.
-fn matrix() -> Vec<EngineConfig> {
+fn matrix() -> Vec<Ablation> {
     [true, false]
         .into_iter()
-        .map(|buffer_gc| EngineConfig {
-            buffer_gc,
-            ..EngineConfig::default()
+        .map(|buffer_gc| Ablation {
+            no_buffer_gc: !buffer_gc,
+            ..Ablation::default()
         })
         .collect()
 }
@@ -63,12 +63,16 @@ fn defs() -> Vec<(&'static str, E, Context)> {
     ]
 }
 
-fn engine(seed: u64, mut config: EngineConfig, wal_dir: Option<&PathBuf>) -> Engine {
-    config.durability = wal_dir.is_some();
-    config.snapshot_interval = 1 + (seed % 7); // vary snapshot cadence too
-    config.wal_dir = wal_dir.map(|p| p.to_string_lossy().into_owned());
+fn engine(seed: u64, ablation: Ablation, wal_dir: Option<&PathBuf>) -> Engine {
+    let config = EngineConfig {
+        durability: wal_dir.map(|dir| Durability {
+            dir: dir.clone(),
+            snapshot_interval: 1 + (seed % 7), // vary snapshot cadence too
+        }),
+        ..EngineConfig::default()
+    };
     let d = defs();
-    Engine::new(&scenario(seed), config, &["A", "B", "C"], &d).unwrap()
+    Engine::ablated(&scenario(seed), config, ablation, &["A", "B", "C"], &[], &d).unwrap()
 }
 
 fn workload(seed: u64) -> Vec<(u64, u32, &'static str)> {
@@ -106,11 +110,11 @@ fn keys(det: Vec<Detection>) -> Vec<Key> {
 /// seed-chosen workload event plus a seed-chosen sub-second offset, so
 /// crashes land mid-stabilization, mid-snapshot-interval, and between
 /// heartbeats with equal indifference.
-fn recovery_case(seed: u64, cfg_idx: usize, config: EngineConfig) {
+fn recovery_case(seed: u64, cfg_idx: usize, ablation: Ablation) {
     let w = workload(seed);
 
     // Reference: durability off, never crashes.
-    let mut clean = engine(seed, config.clone(), None);
+    let mut clean = engine(seed, ablation, None);
     inject_all(&mut clean, &w);
     let expect = keys(clean.run_until(HORIZON));
 
@@ -123,7 +127,7 @@ fn recovery_case(seed: u64, cfg_idx: usize, config: EngineConfig) {
     let mut rng = SplitMix64::new(seed ^ 0x0C1A_05E5_B00F);
     let kill_event = rng.next_below(w.len() as u64) as usize;
     let kill_ms = w[kill_event].0 + rng.next_range(1, 900);
-    let mut e = engine(seed, config, Some(&dir));
+    let mut e = engine(seed, ablation, Some(&dir));
     inject_all(&mut e, &w);
     let mut det = keys(e.run_until(Nanos::from_millis(kill_ms)));
     e.crash_and_recover_coordinator()
@@ -143,8 +147,8 @@ fn recovery_case(seed: u64, cfg_idx: usize, config: EngineConfig) {
 
 fn run_block(seeds: std::ops::Range<u64>) {
     for seed in seeds {
-        for (cfg_idx, config) in matrix().into_iter().enumerate() {
-            recovery_case(seed, cfg_idx, config);
+        for (cfg_idx, ablation) in matrix().into_iter().enumerate() {
+            recovery_case(seed, cfg_idx, ablation);
         }
     }
 }
@@ -198,9 +202,10 @@ fn temporal_definitions_survive_crashes() {
         let mut rng = SplitMix64::new(seed ^ 0x7E3A_0123);
         let kill_ms = rng.next_range(500, 4_000);
         let durable = EngineConfig {
-            durability: true,
-            snapshot_interval: 2,
-            wal_dir: Some(dir.to_string_lossy().into_owned()),
+            durability: Some(Durability {
+                dir: dir.clone(),
+                snapshot_interval: 2,
+            }),
             ..config
         };
         let mut e = Engine::new(&scenario(seed), durable, &["A", "B", "C"], &d).unwrap();
@@ -221,9 +226,9 @@ fn temporal_definitions_survive_crashes() {
 #[test]
 fn double_crash_still_replays_equivalently() {
     for seed in 0..4u64 {
-        let config = EngineConfig::default();
+        let ablation = Ablation::default();
         let w = workload(seed);
-        let mut clean = engine(seed, config.clone(), None);
+        let mut clean = engine(seed, ablation, None);
         inject_all(&mut clean, &w);
         let expect = keys(clean.run_until(HORIZON));
 
@@ -232,7 +237,7 @@ fn double_crash_still_replays_equivalently() {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut e = engine(seed, config, Some(&dir));
+        let mut e = engine(seed, ablation, Some(&dir));
         inject_all(&mut e, &w);
         let mut det = keys(e.run_until(Nanos::from_millis(1_000)));
         e.crash_and_recover_coordinator().unwrap();

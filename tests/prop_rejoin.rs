@@ -25,7 +25,7 @@
 //!   release order has passed it (evict → horizon advances → rejoin) has
 //!   that backlog refused as stale — counted, not double-released.
 
-use decs::distrib::{Detection, Engine, EngineConfig};
+use decs::distrib::{Ablation, Detection, Engine, EngineConfig};
 use decs::simnet::{LinkConfig, ScenarioBuilder, SplitMix64};
 use decs::snoop::{Context, EventExpr as E};
 use decs_chronos::{Granularity, Nanos};
@@ -46,18 +46,21 @@ fn engine(seed: u64, gc: bool, auto_evict: bool, wal_dir: Option<&std::path::Pat
         .max_offset_ns(1_000_000)
         .build()
         .unwrap();
-    Engine::new(
+    Engine::ablated(
         &scenario,
         EngineConfig {
-            buffer_gc: gc,
             auto_evict,
             stall_intervals: if auto_evict { 10 } else { 50 },
-            site_durability: wal_dir.is_some(),
-            wal_dir: wal_dir.map(|d| d.to_string_lossy().into_owned()),
+            site_durability: wal_dir.map(std::path::Path::to_path_buf),
             retransmit_jitter_seed: Some(seed),
             ..EngineConfig::default()
         },
+        Ablation {
+            no_buffer_gc: !gc,
+            ..Ablation::default()
+        },
         &["A", "B", "C"],
+        &[],
         &[
             ("X", E::seq(E::prim("A"), E::prim("B")), Context::Chronicle),
             (

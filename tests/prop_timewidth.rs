@@ -19,7 +19,7 @@
 
 use decs::core::{cts, max_op, max_op_naive, CompositeTimestamp};
 use decs::snoop::{
-    Context, EventExpr as E, Occurrence, PlanDetector, ReferenceDetector, ShardFeedResult, Value,
+    Context, EventExpr as E, FeedResult, Occurrence, PlanDetector, ReferenceDetector, Value,
 };
 use decs_testkit::{check, pick, vec_of, SplitMix64};
 
@@ -259,7 +259,7 @@ fn run_reference(rows: &[Row]) -> Detections {
 }
 
 /// The keyed detections of one feed, which must arm no timer.
-fn timer_free(cat: &decs::snoop::Catalog, r: ShardFeedResult<CompositeTimestamp>) -> Detections {
+fn timer_free(cat: &decs::snoop::Catalog, r: FeedResult<CompositeTimestamp>) -> Detections {
     assert!(r.timers.is_empty(), "definitions are timer-free");
     keyed(cat, r.detected)
 }

@@ -9,7 +9,7 @@
 //! whatever the log lost.*
 
 use decs::distrib::durability::{read_wal, WalTail, WAL_FILE};
-use decs::distrib::{Detection, Engine, EngineConfig};
+use decs::distrib::{Detection, Durability, Engine, EngineConfig, EngineError};
 use decs::simnet::{LinkConfig, Scenario, ScenarioBuilder};
 use decs::snoop::{Context, EventExpr as E};
 use decs_chronos::{Granularity, Nanos};
@@ -34,9 +34,10 @@ fn defs() -> Vec<(&'static str, E, Context)> {
 
 fn engine(seed: u64, wal_dir: Option<&Path>, snapshot_interval: u64) -> Engine {
     let config = EngineConfig {
-        durability: wal_dir.is_some(),
-        snapshot_interval,
-        wal_dir: wal_dir.map(|p| p.to_string_lossy().into_owned()),
+        durability: wal_dir.map(|dir| Durability {
+            dir: dir.to_path_buf(),
+            snapshot_interval,
+        }),
         ..EngineConfig::default()
     };
     let d = defs();
@@ -47,8 +48,7 @@ fn engine(seed: u64, wal_dir: Option<&Path>, snapshot_interval: u64) -> Engine {
 /// to `<dir>/site-<i>` (log-before-send), the coordinator keeps no WAL.
 fn site_durable_engine(seed: u64, wal_dir: &Path) -> Engine {
     let config = EngineConfig {
-        site_durability: true,
-        wal_dir: Some(wal_dir.to_string_lossy().into_owned()),
+        site_durability: Some(wal_dir.to_path_buf()),
         ..EngineConfig::default()
     };
     let d = defs();
@@ -200,7 +200,10 @@ fn missing_durability_dir_recovers_to_a_fresh_engine() {
 #[test]
 fn recovery_without_durability_is_an_error() {
     let mut e = engine(11, None, 0);
-    assert!(e.crash_and_recover_coordinator().is_err());
+    assert!(matches!(
+        e.crash_and_recover_coordinator(),
+        Err(EngineError::Unsupported(_))
+    ));
 }
 
 #[test]
