@@ -11,6 +11,27 @@ if grep -q '^source = ' Cargo.lock; then
     exit 1
 fi
 
+# No unused workspace dependencies: every `decs-*` crate a member declares
+# must be named, as `decs_*`, somewhere in that member's sources, tests,
+# benches or examples.
+unused=0
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    member=$(dirname "$manifest")
+    deps=$(awk '/^\[/ { dep = /dependencies\]$/ && !/^\[workspace/ }
+                dep && /^decs-/ { sub(/[ .=].*/, ""); print }' "$manifest")
+    for dep in $deps; do
+        dirs=()
+        for d in src tests benches examples; do
+            if [ -d "$member/$d" ]; then dirs+=("$member/$d"); fi
+        done
+        if ! grep -rqw "${dep//-/_}" "${dirs[@]}"; then
+            echo "ci.sh: $manifest declares $dep, but nothing in it names ${dep//-/_}" >&2
+            unused=1
+        fi
+    done
+done
+[ "$unused" = 0 ]
+
 # Every cargo command runs --offline: the workspace has nothing to fetch
 # (`cargo fmt` resolves no dependencies and takes no such flag).
 cargo build --release --offline

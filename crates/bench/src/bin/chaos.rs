@@ -27,12 +27,12 @@
 //! schedule row with no rejoin, or zero retransmissions on the lossy
 //! legs fail with a nonzero exit).
 
+use decs_bench::{Baseline, Gate, Row as JsonRow};
 use decs_chronos::{Granularity, Nanos};
 use decs_core::CompositeTimestamp;
 use decs_distrib::{Engine, EngineConfig, Metrics};
 use decs_simnet::{LinkConfig, ScenarioBuilder, SplitMix64};
 use decs_snoop::{Context, EventExpr as E};
-use std::fmt::Write as _;
 
 const SITES: u32 = 4;
 const DROP_PPM: [u32; 4] = [0, 10_000, 50_000, 200_000];
@@ -273,199 +273,102 @@ fn run_matrix(events: usize, horizon_secs: u64) -> Vec<Row> {
     rows
 }
 
-fn render_json(mode: &str, rows: &[Row], crash_rows: &[CrashRow]) -> String {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"bench\": \"chaos\",");
-    let _ = writeln!(j, "  \"schema\": 3,");
-    let _ = writeln!(j, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(j, "  \"threads\": {threads},");
-    let _ = writeln!(j, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"drop_ppm\": {}, \"detections\": {}, \"match_clean\": {}, \
-             \"mean_stability_ms\": {:.2}, \"retransmits\": {}, \"fast_retransmits\": {}, \
-             \"acks_sent\": {}, \"duplicates_dropped\": {}, \"link_dropped\": {}, \
-             \"retx_per_msg\": {:.4}}}{comma}",
-            r.drop_ppm,
-            r.detections,
-            r.match_clean,
-            r.mean_stability_ms,
-            r.retransmits,
-            r.fast_retransmits,
-            r.acks_sent,
-            r.duplicates_dropped,
-            r.link_dropped,
-            r.retx_per_msg
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"crash_rows\": [");
-    for (i, r) in crash_rows.iter().enumerate() {
-        let comma = if i + 1 < crash_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"schedule\": \"{}\", \"drop_ppm\": {}, \"detections\": {}, \
-             \"match_clean\": {}, \"site_restarts\": {}, \"rejoins\": {}, \
-             \"epoch_max\": {}, \"rejoin_latency_ms\": {:.3}, \
-             \"post_rejoin_stability_ms\": {:.2}, \"retransmits\": {}, \
-             \"fast_retransmits\": {}, \"retx_per_msg\": {:.4}}}{comma}",
-            r.name,
-            r.drop_ppm,
-            r.detections,
-            r.match_clean,
-            r.site_restarts,
-            r.rejoins,
-            r.epoch_max,
-            r.rejoin_latency_ms,
-            r.post_rejoin_stability_ms,
-            r.retransmits,
-            r.fast_retransmits,
-            r.retx_per_msg
-        );
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+fn report(rows: &[Row], crash_rows: &[CrashRow]) -> Baseline {
+    Baseline::new()
+        .array(
+            "rows",
+            rows.iter().map(|r| {
+                JsonRow::new()
+                    .field("drop_ppm", r.drop_ppm)
+                    .field("detections", r.detections)
+                    .field("match_clean", r.match_clean)
+                    .fixed("mean_stability_ms", r.mean_stability_ms, 2)
+                    .field("retransmits", r.retransmits)
+                    .field("fast_retransmits", r.fast_retransmits)
+                    .field("acks_sent", r.acks_sent)
+                    .field("duplicates_dropped", r.duplicates_dropped)
+                    .field("link_dropped", r.link_dropped)
+                    .fixed("retx_per_msg", r.retx_per_msg, 4)
+            }),
+        )
+        .array(
+            "crash_rows",
+            crash_rows.iter().map(|r| {
+                JsonRow::new()
+                    .text("schedule", r.name)
+                    .field("drop_ppm", r.drop_ppm)
+                    .field("detections", r.detections)
+                    .field("match_clean", r.match_clean)
+                    .field("site_restarts", r.site_restarts)
+                    .field("rejoins", r.rejoins)
+                    .field("epoch_max", r.epoch_max)
+                    .fixed("rejoin_latency_ms", r.rejoin_latency_ms, 3)
+                    .fixed("post_rejoin_stability_ms", r.post_rejoin_stability_ms, 2)
+                    .field("retransmits", r.retransmits)
+                    .field("fast_retransmits", r.fast_retransmits)
+                    .fixed("retx_per_msg", r.retx_per_msg, 4)
+            }),
+        )
 }
 
-/// Pull `"field": <value>` out of the row with the given drop rate. The
-/// baseline is our own emission, so substring scanning is an adequate
-/// parser — anything it can't find is treated as malformed.
-fn extract<'a>(json: &'a str, drop_ppm: u32, field: &str) -> Option<&'a str> {
-    let obj = &json[json.find(&format!("\"drop_ppm\": {drop_ppm},"))?..];
-    let obj = &obj[..obj.find('}')?];
-    let at = obj.find(&format!("\"{field}\":"))? + field.len() + 4;
-    let rest = &obj[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-/// Pull `"field": <value>` out of the crash row with the given schedule
-/// name.
-fn extract_sched<'a>(json: &'a str, name: &str, field: &str) -> Option<&'a str> {
-    let obj = &json[json.find(&format!("\"schedule\": \"{name}\","))?..];
-    let obj = &obj[..obj.find('}')?];
-    let at = obj.find(&format!("\"{field}\":"))? + field.len() + 4;
-    let rest = &obj[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-fn smoke(baseline_path: &str) -> i32 {
+fn smoke(gate: &mut Gate) -> Baseline {
     let rows = run_matrix(40, 20);
     let crash_rows = run_crash_matrix(40, 20);
-    let json = render_json("smoke", &rows, &crash_rows);
-    std::fs::create_dir_all("target").ok();
-    std::fs::write("target/BENCH_chaos_smoke.json", &json).ok();
-    print!("{json}");
-
-    let mut failed = false;
     for r in &rows {
         if !r.match_clean {
-            eprintln!(
-                "smoke: FAIL — detections diverged from the fault-free run at {} ppm",
+            gate.fail(format!(
+                "detections diverged from the fault-free run at {} ppm",
                 r.drop_ppm
-            );
-            failed = true;
+            ));
         }
         if r.drop_ppm >= 50_000 && r.retransmits == 0 {
-            eprintln!(
-                "smoke: FAIL — no retransmissions at {} ppm (protocol inert?)",
+            gate.fail(format!(
+                "no retransmissions at {} ppm (protocol inert?)",
                 r.drop_ppm
-            );
-            failed = true;
+            ));
         }
     }
     for (r, s) in crash_rows.iter().zip(&SCHEDULES) {
         if !r.match_clean {
-            eprintln!(
-                "smoke: FAIL — schedule {} diverged from its fault-free oracle",
+            gate.fail(format!(
+                "schedule {} diverged from its fault-free oracle",
                 r.name
-            );
-            failed = true;
+            ));
         }
         let expected = s.crashes.len() as u64;
         if r.site_restarts != expected || r.rejoins < expected || r.epoch_max != 1 {
-            eprintln!(
-                "smoke: FAIL — schedule {} lifecycle off: restarts {} (want {}), \
-                 rejoins {}, epoch_max {}",
+            gate.fail(format!(
+                "schedule {} lifecycle off: restarts {} (want {}), rejoins {}, epoch_max {}",
                 r.name, r.site_restarts, expected, r.rejoins, r.epoch_max
-            );
-            failed = true;
+            ));
         }
     }
 
-    let Ok(baseline) = std::fs::read_to_string(baseline_path) else {
-        eprintln!("smoke: FAIL — missing baseline {baseline_path}");
-        return 1;
-    };
-    for &ppm in &DROP_PPM {
-        match extract(&baseline, ppm, "match_clean") {
-            Some("true") => {}
-            Some(v) => {
-                eprintln!("smoke: FAIL — baseline row {ppm} ppm has match_clean = {v}");
-                failed = true;
-            }
-            None => {
-                eprintln!("smoke: FAIL — baseline is malformed (no row for {ppm} ppm)");
-                failed = true;
-            }
+    for ppm in DROP_PPM {
+        if gate.baseline::<bool>("rows", "drop_ppm", ppm, "match_clean") == Some(false) {
+            gate.fail(format!("baseline row {ppm} ppm has match_clean = false"));
         }
     }
-    match extract(&baseline, 0, "detections").and_then(|v| v.parse::<u64>().ok()) {
-        Some(d) if d > 0 => {}
-        _ => {
-            eprintln!("smoke: FAIL — baseline fault-free run detected nothing");
-            failed = true;
-        }
+    if gate.baseline::<u64>("rows", "drop_ppm", 0, "detections") == Some(0) {
+        gate.fail("baseline fault-free run detected nothing");
     }
     for s in &SCHEDULES {
-        match extract_sched(&baseline, s.name, "match_clean") {
-            Some("true") => {}
-            Some(v) => {
-                eprintln!(
-                    "smoke: FAIL — baseline schedule {} has match_clean = {v}",
-                    s.name
-                );
-                failed = true;
-            }
-            None => {
-                eprintln!(
-                    "smoke: FAIL — baseline is malformed (no crash row for {})",
-                    s.name
-                );
-                failed = true;
-            }
+        let clean = gate.baseline::<bool>("crash_rows", "schedule", s.name, "match_clean");
+        if clean == Some(false) {
+            gate.fail(format!(
+                "baseline schedule {} has match_clean = false",
+                s.name
+            ));
         }
-        match extract_sched(&baseline, s.name, "rejoins").and_then(|v| v.parse::<u64>().ok()) {
-            Some(n) if n >= s.crashes.len() as u64 => {}
-            _ => {
-                eprintln!(
-                    "smoke: FAIL — baseline schedule {} recorded no rejoin",
-                    s.name
-                );
-                failed = true;
-            }
+        let rejoins = gate.baseline::<u64>("crash_rows", "schedule", s.name, "rejoins");
+        if rejoins.is_some_and(|n| n < s.crashes.len() as u64) {
+            gate.fail(format!("baseline schedule {} recorded no rejoin", s.name));
         }
     }
-    if failed {
-        1
-    } else {
-        eprintln!("smoke: OK");
-        0
-    }
+    report(&rows, &crash_rows)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        std::process::exit(smoke("BENCH_chaos.json"));
-    }
-
+fn full() -> Baseline {
     eprintln!("E15 — detection vs drop rate (full run)");
     let rows = run_matrix(200, 30);
     for r in &rows {
@@ -484,8 +387,9 @@ fn main() {
             r.name
         );
     }
-    let json = render_json("full", &rows, &crash_rows);
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-    print!("{json}");
-    eprintln!("wrote BENCH_chaos.json");
+    report(&rows, &crash_rows)
+}
+
+fn main() {
+    decs_bench::main("chaos", 3, full, smoke);
 }

@@ -21,31 +21,13 @@
 //! kernel fails with a nonzero exit) and writes its own results under
 //! `target/`.
 
-use decs_bench::concurrent_composite;
+use decs_bench::{concurrent_composite, time_ns, Baseline, Gate, Row};
 use decs_chronos::{Granularity, Nanos};
 use decs_core::{max_op, max_op_naive};
 use decs_distrib::{Ablation, Engine, EngineConfig};
 use decs_simnet::ScenarioBuilder;
 use decs_snoop::{CentralDetector, Context, EventExpr as E};
-use std::fmt::Write as _;
-use std::hint::black_box;
 use std::time::Instant;
-
-/// Best-of-3 wall-clock ns per call of `f`, after one warmup pass.
-fn time_ns<O>(iters: u64, mut f: impl FnMut() -> O) -> f64 {
-    for _ in 0..iters / 4 {
-        black_box(f());
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
-}
 
 struct Kernel {
     name: &'static str,
@@ -244,178 +226,83 @@ fn latency_run(buffer_gc: bool) -> LatencyRow {
     }
 }
 
-fn render_json(
-    mode: &str,
-    kernels: &[Kernel],
-    occupancy: &[OccRow],
-    latency: &[(bool, LatencyRow)],
-) -> String {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"bench\": \"hotpath\",");
-    let _ = writeln!(j, "  \"schema\": 1,");
-    let _ = writeln!(j, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(j, "  \"threads\": {threads},");
-    let _ = writeln!(j, "  \"kernels\": [");
-    for (i, k) in kernels.iter().enumerate() {
-        let comma = if i + 1 < kernels.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"name\": \"{}\", \"naive_ns\": {:.2}, \"fast_ns\": {:.2}, \
-             \"speedup\": {:.2}, \"fast_mops\": {:.1}}}{comma}",
-            k.name,
-            k.naive_ns,
-            k.fast_ns,
-            k.speedup(),
-            1e3 / k.fast_ns
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"occupancy\": [");
-    for (i, r) in occupancy.iter().enumerate() {
-        let comma = if i + 1 < occupancy.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"workload\": \"{}\", \"gc\": {}, \"events\": {}, \
-             \"final_occupancy\": {}, \"peak_occupancy\": {}, \"evicted\": {}, \
-             \"throughput_meps\": {:.2}}}{comma}",
-            r.workload,
-            r.gc,
-            r.events,
-            r.final_occupancy,
-            r.peak_occupancy,
-            r.evicted,
-            r.throughput_meps
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"latency\": [");
-    for (i, (gc, r)) in latency.iter().enumerate() {
-        let comma = if i + 1 < latency.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"gc\": {gc}, \"detections\": {}, \"mean_stability_ms\": {:.2}, \
-             \"gc_evicted\": {}, \"node_buffer_peak\": {}, \"retransmits\": {}, \
-             \"acks_sent\": {}, \"duplicates_dropped\": {}, \"parked_peak\": {}, \
-             \"suspect_sites\": {}, \"plan_nodes\": {}, \"shared_nodes\": {}, \
-             \"sharing_ratio\": {:.3}, \"batch_ingest_events\": {}, \
-             \"arena_bytes\": {}}}{comma}",
-            r.detections,
-            r.mean_stability_ms,
-            r.gc_evicted,
-            r.node_buffer_peak,
-            r.retransmits,
-            r.acks_sent,
-            r.duplicates_dropped,
-            r.parked_peak,
-            r.suspect_sites,
-            r.plan_nodes,
-            r.shared_nodes,
-            r.sharing_ratio,
-            r.batch_ingest_events,
-            r.arena_bytes
-        );
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+fn report(kernels: &[Kernel], occupancy: &[OccRow], latency: &[(bool, LatencyRow)]) -> Baseline {
+    Baseline::new()
+        .array(
+            "kernels",
+            kernels.iter().map(|k| {
+                Row::new()
+                    .text("name", k.name)
+                    .fixed("naive_ns", k.naive_ns, 2)
+                    .fixed("fast_ns", k.fast_ns, 2)
+                    .fixed("speedup", k.speedup(), 2)
+                    .fixed("fast_mops", 1e3 / k.fast_ns, 1)
+            }),
+        )
+        .array(
+            "occupancy",
+            occupancy.iter().map(|r| {
+                Row::new()
+                    .text("workload", r.workload)
+                    .field("gc", r.gc)
+                    .field("events", r.events)
+                    .field("final_occupancy", r.final_occupancy)
+                    .field("peak_occupancy", r.peak_occupancy)
+                    .field("evicted", r.evicted)
+                    .fixed("throughput_meps", r.throughput_meps, 2)
+            }),
+        )
+        .array(
+            "latency",
+            latency.iter().map(|(gc, r)| {
+                Row::new()
+                    .field("gc", gc)
+                    .field("detections", r.detections)
+                    .fixed("mean_stability_ms", r.mean_stability_ms, 2)
+                    .field("gc_evicted", r.gc_evicted)
+                    .field("node_buffer_peak", r.node_buffer_peak)
+                    .field("retransmits", r.retransmits)
+                    .field("acks_sent", r.acks_sent)
+                    .field("duplicates_dropped", r.duplicates_dropped)
+                    .field("parked_peak", r.parked_peak)
+                    .field("suspect_sites", r.suspect_sites)
+                    .field("plan_nodes", r.plan_nodes)
+                    .field("shared_nodes", r.shared_nodes)
+                    .fixed("sharing_ratio", r.sharing_ratio, 3)
+                    .field("batch_ingest_events", r.batch_ingest_events)
+                    .field("arena_bytes", r.arena_bytes)
+            }),
+        )
 }
 
-/// Pull `"field": <number>` out of the kernel object named `name`. The
-/// baseline file is our own emission, so plain substring scanning is an
-/// adequate parser — anything it can't find is treated as malformed.
-fn extract(json: &str, name: &str, field: &str) -> Option<f64> {
-    let obj = &json[json.find(&format!("\"name\": \"{name}\""))?..];
-    let obj = &obj[..obj.find('}')?];
-    let at = obj.find(&format!("\"{field}\":"))? + field.len() + 4;
-    let rest = &obj[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn smoke(baseline_path: &str) -> i32 {
+fn smoke(gate: &mut Gate) -> Baseline {
     let kernels = bench_kernels(200_000);
     let occ = occupancy_run("not_chronicle", true, 20_000);
-    let json = render_json("smoke", &kernels, &[occ], &[]);
-    std::fs::create_dir_all("target").ok();
-    std::fs::write("target/BENCH_hotpath_smoke.json", &json).ok();
-    print!("{json}");
-
-    let Ok(baseline) = std::fs::read_to_string(baseline_path) else {
-        eprintln!("smoke: FAIL — missing baseline {baseline_path}");
-        return 1;
-    };
-    let mut failed = false;
-    // Absolute ns are only comparable when the baseline was produced on a
-    // machine with the same parallelism (a proxy for "the same class of
-    // hardware"); on a mismatch only the machine-independent speedup
-    // ratios below are enforced. Pre-schema baselines carry no stamp and
-    // keep the old always-compare behaviour.
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let base_threads = {
-        let at = baseline
-            .find("\"threads\":")
-            .map(|i| i + "\"threads\":".len());
-        at.and_then(|i| {
-            let rest = &baseline[i..];
-            let end = rest.find([',', '\n']).unwrap_or(rest.len());
-            rest[..end].trim().parse::<usize>().ok()
-        })
-    };
-    let comparable = base_threads.is_none() || base_threads == Some(threads);
-    if !comparable {
-        eprintln!(
-            "smoke: note — baseline ran on {} thread(s), this machine has {}; \
-             skipping absolute-ns kernel comparisons",
-            base_threads.unwrap(),
-            threads
-        );
-    }
+    // Absolute ns only compare on the baseline's class of machine; the
+    // speedup headline below is enforced everywhere.
+    let same_machine = gate.same_machine();
     for k in &kernels {
-        let Some(base_fast) = extract(&baseline, k.name, "fast_ns") else {
-            eprintln!(
-                "smoke: FAIL — baseline is malformed (no fast_ns for {})",
-                k.name
-            );
-            failed = true;
-            continue;
-        };
-        if comparable && k.fast_ns > 2.0 * base_fast {
-            eprintln!(
-                "smoke: FAIL — {} regressed {:.2} ns → {:.2} ns (>2x)",
-                k.name, base_fast, k.fast_ns
-            );
-            failed = true;
+        let base_fast = gate.baseline::<f64>("kernels", "name", k.name, "fast_ns");
+        if let Some(base_fast) = base_fast.filter(|&b| same_machine && k.fast_ns > 2.0 * b) {
+            gate.fail(format!(
+                "{} regressed {base_fast:.2} ns → {:.2} ns (>2x)",
+                k.name, k.fast_ns
+            ));
         }
     }
     // The committed artifact must still carry the headline: the
     // band-separated relation kernel at ≥2x over the naive scan.
-    match extract(&baseline, "relation_band_separated_w4", "speedup") {
-        Some(s) if s >= 2.0 => {}
-        Some(s) => {
-            eprintln!("smoke: FAIL — baseline band-separated speedup {s:.2} < 2x");
-            failed = true;
-        }
-        None => {
-            eprintln!("smoke: FAIL — baseline is malformed (no band-separated speedup)");
-            failed = true;
-        }
+    let headline = "relation_band_separated_w4";
+    if let Some(s) = gate
+        .baseline::<f64>("kernels", "name", headline, "speedup")
+        .filter(|&s| s < 2.0)
+    {
+        gate.fail(format!("baseline band-separated speedup {s:.2} < 2x"));
     }
-    if failed {
-        1
-    } else {
-        eprintln!("smoke: OK");
-        0
-    }
+    report(&kernels, &[occ], &[])
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        std::process::exit(smoke("BENCH_hotpath.json"));
-    }
-
+fn full() -> Baseline {
     eprintln!("E13 — hot-path kernels + buffer GC (full run)");
     let kernels = bench_kernels(2_000_000);
     let occupancy = vec![
@@ -427,8 +314,9 @@ fn main() {
         occupancy_run("any_unrestricted", false, 1_000_000),
     ];
     let latency = vec![(true, latency_run(true)), (false, latency_run(false))];
-    let json = render_json("full", &kernels, &occupancy, &latency);
-    std::fs::write("BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");
-    print!("{json}");
-    eprintln!("wrote BENCH_hotpath.json");
+    report(&kernels, &occupancy, &latency)
+}
+
+fn main() {
+    decs_bench::main("hotpath", 1, full, smoke);
 }

@@ -1,7 +1,7 @@
 //! E18 — columnar batch ingestion (the struct-of-arrays hot path).
 //!
 //! Measures feed throughput of the columnar [`EventBatch`] path
-//! (`CentralDetector::feed_columnar`: types, stamps and parameter handles
+//! (`CentralDetector::feed_columnar`: types, stamps and parameter lists
 //! staged in parallel vectors, routed rows materialized once per batch)
 //! against the per-event `feed_bare` oracle, on the E16 sharing workload
 //! shape (16 `¬(b)[a, c]` definitions over private primitive triples —
@@ -26,9 +26,12 @@
 //! committed one fails with a nonzero exit) and writes its own results
 //! under `target/`.
 
+use decs_bench::{median, threads, Baseline, Gate, Row as JsonRow};
 use decs_snoop::{CentralDetector, CentralTime, Context, EventBatch, EventExpr as E, EventId};
-use std::fmt::Write as _;
 use std::time::Instant;
+
+/// Layout version of `BENCH_ingest.json`, also stamped in every row.
+const SCHEMA: u32 = 4;
 
 /// Definitions per configuration (the E16 shape).
 const DEFS: usize = 16;
@@ -128,11 +131,6 @@ struct Row {
     detections: u64,
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 /// [`PAIRS`] alternating leg pairs (fresh detector per leg — feeding
 /// mutates operator state), hard-asserting every columnar leg's
 /// detections against the per-event leg of its pair.
@@ -167,118 +165,65 @@ fn run_all(events: u64) -> Vec<Row> {
     ]
 }
 
-fn render_json(mode: &str, events: u64, rows: &[Row]) -> String {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"bench\": \"ingest\",");
-    let _ = writeln!(j, "  \"schema\": 4,");
-    let _ = writeln!(j, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(j, "  \"threads\": {threads},");
-    let _ = writeln!(j, "  \"defs\": {DEFS},");
-    let _ = writeln!(j, "  \"batch\": {BATCH},");
-    let _ = writeln!(j, "  \"events\": {events},");
-    let _ = writeln!(j, "  \"pairs\": {PAIRS},");
-    let _ = writeln!(j, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        // Every row carries its own threads/schema stamp, so a consumer
-        // holding a single row out of context can still decide
-        // comparability.
-        let _ = writeln!(
-            j,
-            "    {{\"name\": \"{}\", \"schema\": 4, \"threads\": {threads}, \
-             \"meps\": {:.3}, \"speedup_vs_per_event\": {:.2}, \
-             \"detections\": {}}}{comma}",
-            r.name, r.meps, r.speedup, r.detections
-        );
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+fn report(events: u64, rows: &[Row]) -> Baseline {
+    Baseline::new()
+        .stamp("defs", DEFS)
+        .stamp("batch", BATCH)
+        .stamp("events", events)
+        .stamp("pairs", PAIRS)
+        .array(
+            "rows",
+            rows.iter().map(|r| {
+                // Every row carries its own threads/schema stamp, so a
+                // consumer holding a single row out of context can still
+                // decide comparability.
+                JsonRow::new()
+                    .text("name", &r.name)
+                    .field("schema", SCHEMA)
+                    .field("threads", threads())
+                    .fixed("meps", r.meps, 3)
+                    .fixed("speedup_vs_per_event", r.speedup, 2)
+                    .field("detections", r.detections)
+            }),
+        )
 }
 
-/// Pull `"field": <number>` out of the row object named `name` (same
-/// substring scanner as the other bench smokes — the baseline is our own
-/// emission, so anything it can't find is malformed).
-fn extract(json: &str, name: &str, field: &str) -> Option<f64> {
-    let obj = &json[json.find(&format!("\"name\": \"{name}\""))?..];
-    let obj = &obj[..obj.find('}')?];
-    let at = obj.find(&format!("\"{field}\":"))? + field.len() + 4;
-    let rest = &obj[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn smoke(baseline_path: &str) -> i32 {
+fn smoke(gate: &mut Gate) -> Baseline {
     // A quick pass still runs every leg pair — `run_all` hard-asserts
     // columnar == per-event detections, which is the smoke's real
     // correctness gate.
     let events = 40_000;
     let rows = run_all(events);
-    let json = render_json("smoke", events, &rows);
-    std::fs::create_dir_all("target").ok();
-    std::fs::write("target/BENCH_ingest_smoke.json", &json).ok();
-    print!("{json}");
-
-    let Ok(baseline) = std::fs::read_to_string(baseline_path) else {
-        eprintln!("smoke: FAIL — missing baseline {baseline_path}");
-        return 1;
-    };
-    let mut failed = false;
-    for name in ["per_event", "columnar"] {
-        if extract(&baseline, name, "meps").is_none() {
-            eprintln!("smoke: FAIL — baseline is malformed (no {name} row)");
-            failed = true;
-        }
-    }
     // The committed artifact must carry the acceptance headline: the
     // single-thread columnar path at ≥0.2 Meps (10x the E16 overlap_0
     // per-event baseline).
-    match extract(&baseline, "columnar", "meps") {
-        Some(m) if m >= 0.2 => {}
-        Some(m) => {
-            eprintln!("smoke: FAIL — baseline columnar throughput {m:.3} Meps < 0.2 Meps floor");
-            failed = true;
+    // The per-event leg the speedup divides by must be there too.
+    gate.baseline::<f64>("rows", "name", "per_event", "meps");
+    if let Some(m) = gate.baseline::<f64>("rows", "name", "columnar", "meps") {
+        if m < 0.2 {
+            gate.fail(format!(
+                "baseline columnar throughput {m:.3} Meps < 0.2 Meps floor"
+            ));
         }
-        None => {} // already reported as malformed above
     }
     // The regression gate compares speedups, each a median of in-process
     // per-pair ratios: absolute Meps on a shared 2-thread box swing by
     // more than 20% between launches, the ratio of two alternating legs
     // does not.
-    match extract(&baseline, "columnar", "speedup_vs_per_event") {
-        Some(base) => {
-            let now = rows[1].speedup;
-            if now < 0.8 * base {
-                eprintln!(
-                    "smoke: FAIL — columnar speedup regressed {base:.2}x → {now:.2}x \
-                     (below 80% of the baseline)"
-                );
-                failed = true;
-            } else {
-                eprintln!("smoke: columnar speedup {now:.2}x (baseline {base:.2}x)");
-            }
-        }
-        None => {
-            eprintln!("smoke: FAIL — baseline is malformed (no columnar speedup)");
-            failed = true;
+    if let Some(base) = gate.baseline::<f64>("rows", "name", "columnar", "speedup_vs_per_event") {
+        let now = rows[1].speedup;
+        if now < 0.8 * base {
+            gate.fail(format!(
+                "columnar speedup regressed {base:.2}x → {now:.2}x (below 80% of the baseline)"
+            ));
+        } else {
+            eprintln!("smoke: columnar speedup {now:.2}x (baseline {base:.2}x)");
         }
     }
-    if failed {
-        1
-    } else {
-        eprintln!("smoke: OK");
-        0
-    }
+    report(events, &rows)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        std::process::exit(smoke("BENCH_ingest.json"));
-    }
-
+fn full() -> Baseline {
     eprintln!("E18 — columnar batch ingestion (full run)");
     let events = 400_000;
     let rows = run_all(events);
@@ -288,8 +233,9 @@ fn main() {
             r.name, r.meps, r.detections
         );
     }
-    let json = render_json("full", events, &rows);
-    std::fs::write("BENCH_ingest.json", &json).expect("write BENCH_ingest.json");
-    print!("{json}");
-    eprintln!("wrote BENCH_ingest.json");
+    report(events, &rows)
+}
+
+fn main() {
+    decs_bench::main("ingest", SCHEMA, full, smoke);
 }

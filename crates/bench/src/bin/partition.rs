@@ -30,12 +30,12 @@
 //! `BENCH_partition.json` (malformed JSON or a diverged row fail with a
 //! nonzero exit).
 
+use decs_bench::{Baseline, Gate, Row as JsonRow};
 use decs_chronos::{Granularity, Nanos};
 use decs_core::CompositeTimestamp;
 use decs_distrib::{Engine, EngineConfig};
 use decs_simnet::{Scenario, ScenarioBuilder, SplitMix64};
 use decs_snoop::{Context, EventExpr as E, Occurrence};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 const SITES: u32 = 4;
@@ -228,152 +228,94 @@ fn run_matrix(events: usize, span_ms: u64, horizon_secs: u64) -> Vec<Row> {
     rows
 }
 
-fn render_json(mode: &str, rows: &[Row]) -> String {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"bench\": \"partition\",");
-    let _ = writeln!(j, "  \"schema\": 2,");
-    let _ = writeln!(j, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(j, "  \"threads\": {threads},");
-    let _ = writeln!(j, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"replicas\": {}, \"detections\": {}, \"match_single\": {}, \
-             \"events\": {}, \"wall_ms\": {:.1}, \"keps\": {:.1}, \
-             \"max_busy_ms\": {:.2}, \"agg_keps\": {:.1}, \
-             \"routed_received\": {}, \"relay_events\": {}, \"relays_sent\": {}, \
-             \"forward_ratio\": {:.4}}}{comma}",
-            r.replicas,
-            r.detections,
-            r.match_single,
-            r.events,
-            r.wall_ms,
-            r.keps,
-            r.max_busy_ms,
-            r.agg_keps,
-            r.routed_received,
-            r.relay_events,
-            r.relays_sent,
-            r.forward_ratio
-        );
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+fn report(rows: &[Row]) -> Baseline {
+    Baseline::new().array(
+        "rows",
+        rows.iter().map(|r| {
+            JsonRow::new()
+                .field("replicas", r.replicas)
+                .field("detections", r.detections)
+                .field("match_single", r.match_single)
+                .field("events", r.events)
+                .fixed("wall_ms", r.wall_ms, 1)
+                .fixed("keps", r.keps, 1)
+                .fixed("max_busy_ms", r.max_busy_ms, 2)
+                .fixed("agg_keps", r.agg_keps, 1)
+                .field("routed_received", r.routed_received)
+                .field("relay_events", r.relay_events)
+                .field("relays_sent", r.relays_sent)
+                .fixed("forward_ratio", r.forward_ratio, 4)
+        }),
+    )
 }
 
-/// Pull `"field": <value>` out of the row with the given replica count.
-/// The baseline is our own emission, so substring scanning is an
-/// adequate parser — anything it can't find is treated as malformed.
-fn extract<'a>(json: &'a str, replicas: usize, field: &str) -> Option<&'a str> {
-    let obj = &json[json.find(&format!("\"replicas\": {replicas},"))?..];
-    let obj = &obj[..obj.find('}')?];
-    let at = obj.find(&format!("\"{field}\":"))? + field.len() + 4;
-    let rest = &obj[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-fn check_rows(rows: &[Row]) -> bool {
-    let mut failed = false;
+/// The invariants every run's rows must hold, one line per violation.
+fn check_rows(rows: &[Row]) -> Vec<String> {
+    let mut failures = Vec::new();
     for r in rows {
         if !r.match_single {
-            eprintln!("FAIL — N = {} detections diverged from N = 1", r.replicas);
-            failed = true;
+            failures.push(format!("N = {} detections diverged from N = 1", r.replicas));
         }
         if r.replicas > 1 && r.relay_events == 0 {
-            eprintln!(
-                "FAIL — N = {} forwarded nothing across partitions (plan not chained?)",
+            failures.push(format!(
+                "N = {} forwarded nothing across partitions (plan not chained?)",
                 r.replicas
-            );
-            failed = true;
+            ));
         }
         if r.replicas > 1 && r.routed_received == 0 {
-            eprintln!("FAIL — N = {} received no routed announcements", r.replicas);
-            failed = true;
+            failures.push(format!(
+                "N = {} received no routed announcements",
+                r.replicas
+            ));
         }
         if r.detections == 0 {
-            eprintln!("FAIL — N = {} detected nothing", r.replicas);
-            failed = true;
+            failures.push(format!("N = {} detected nothing", r.replicas));
         }
     }
-    failed
+    failures
 }
 
-fn smoke(baseline_path: &str) -> i32 {
+fn smoke(gate: &mut Gate) -> Baseline {
     let rows = run_matrix(400, 3_000, 16);
-    let json = render_json("smoke", &rows);
-    std::fs::create_dir_all("target").ok();
-    std::fs::write("target/BENCH_partition_smoke.json", &json).ok();
-    print!("{json}");
-
-    let mut failed = check_rows(&rows);
-
-    let Ok(baseline) = std::fs::read_to_string(baseline_path) else {
-        eprintln!("smoke: FAIL — missing baseline {baseline_path}");
-        return 1;
-    };
-    for &replicas in &REPLICAS {
-        match extract(&baseline, replicas, "match_single") {
-            Some("true") => {}
-            Some(v) => {
-                eprintln!("smoke: FAIL — baseline N = {replicas} has match_single = {v}");
-                failed = true;
-            }
-            None => {
-                eprintln!("smoke: FAIL — baseline is malformed (no row for N = {replicas})");
-                failed = true;
-            }
+    for failure in check_rows(&rows) {
+        gate.fail(failure);
+    }
+    for replicas in REPLICAS {
+        if gate.baseline::<bool>("rows", "replicas", replicas, "match_single") == Some(false) {
+            gate.fail(format!("baseline N = {replicas} has match_single = false"));
         }
     }
-    match extract(&baseline, 4, "relay_events").and_then(|v| v.parse::<u64>().ok()) {
-        Some(n) if n > 0 => {}
-        _ => {
-            eprintln!("smoke: FAIL — baseline N = 4 forwarded nothing across partitions");
-            failed = true;
-        }
+    if gate.baseline::<u64>("rows", "replicas", 4, "relay_events") == Some(0) {
+        gate.fail("baseline N = 4 forwarded nothing across partitions");
     }
     // The scaling headline: on the routed (non-broadcast) path the busiest
     // replica processes a shrinking share of the announcements, so the
     // aggregate ingest throughput of a parallel deployment must *rise*
     // with the replica count in the committed full-run baseline.
-    let agg = |r| extract(&baseline, r, "agg_keps").and_then(|v| v.parse::<f64>().ok());
-    match (agg(1), agg(4)) {
-        (Some(a1), Some(a4)) if a4 > a1 => {}
-        (Some(a1), Some(a4)) => {
-            eprintln!(
-                "smoke: FAIL — baseline aggregate throughput does not scale \
-                 with replicas (N = 1: {a1:.1} keps, N = 4: {a4:.1} keps)"
-            );
-            failed = true;
-        }
-        _ => {
-            eprintln!("smoke: FAIL — baseline is malformed (missing agg_keps)");
-            failed = true;
+    let a1 = gate.baseline::<f64>("rows", "replicas", 1, "agg_keps");
+    let a4 = gate.baseline::<f64>("rows", "replicas", 4, "agg_keps");
+    if let (Some(a1), Some(a4)) = (a1, a4) {
+        if a4 <= a1 {
+            gate.fail(format!(
+                "baseline aggregate throughput does not scale with replicas \
+                 (N = 1: {a1:.1} keps, N = 4: {a4:.1} keps)"
+            ));
         }
     }
-    if failed {
-        1
-    } else {
-        eprintln!("smoke: OK");
-        0
-    }
+    report(&rows)
+}
+
+fn full() -> Baseline {
+    eprintln!("E20 — partitioned plane throughput vs replica count (full run)");
+    let rows = run_matrix(24_000, 20_000, 30);
+    let failures = check_rows(&rows);
+    assert!(
+        failures.is_empty(),
+        "full run failed its invariants: {failures:?}"
+    );
+    report(&rows)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        std::process::exit(smoke("BENCH_partition.json"));
-    }
-
-    eprintln!("E20 — partitioned plane throughput vs replica count (full run)");
-    let rows = run_matrix(24_000, 20_000, 30);
-    assert!(!check_rows(&rows), "full run failed its invariants");
-    let json = render_json("full", &rows);
-    std::fs::write("BENCH_partition.json", &json).expect("write BENCH_partition.json");
-    print!("{json}");
-    eprintln!("wrote BENCH_partition.json");
+    decs_bench::main("partition", 2, full, smoke);
 }

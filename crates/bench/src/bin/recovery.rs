@@ -19,12 +19,12 @@
 //! (malformed JSON, a diverged row, or a no-op recovery fail with a
 //! nonzero exit).
 
+use decs_bench::{Baseline, Gate, Row as JsonRow};
 use decs_chronos::{Granularity, Nanos};
 use decs_core::CompositeTimestamp;
 use decs_distrib::{Durability, Engine, EngineConfig};
 use decs_simnet::{Scenario, ScenarioBuilder, SplitMix64};
 use decs_snoop::{Context, EventExpr as E, Occurrence};
-use std::fmt::Write as _;
 
 const SITES: u32 = 3;
 const SEED: u64 = 42;
@@ -146,70 +146,42 @@ fn run_matrix(events: usize, horizon_secs: u64) -> Vec<Row> {
         .collect()
 }
 
-fn render_json(mode: &str, rows: &[Row]) -> String {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"bench\": \"recovery\",");
-    let _ = writeln!(j, "  \"schema\": 1,");
-    let _ = writeln!(j, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(j, "  \"threads\": {threads},");
-    let _ = writeln!(j, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"snapshot_interval\": {}, \"kill_ms\": {}, \"detections\": {}, \
-             \"match_clean\": {}, \"wal_appends\": {}, \"wal_kib\": {:.1}, \
-             \"snapshots_taken\": {}, \"recovery_replayed\": {}, \"recovery_ms\": {:.3}}}{comma}",
-            r.snapshot_interval,
-            r.kill_ms,
-            r.detections,
-            r.match_clean,
-            r.wal_appends,
-            r.wal_kib,
-            r.snapshots_taken,
-            r.recovery_replayed,
-            r.recovery_ms
-        );
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+fn report(rows: &[Row]) -> Baseline {
+    Baseline::new().array(
+        "rows",
+        rows.iter().map(|r| {
+            JsonRow::new()
+                .field("snapshot_interval", r.snapshot_interval)
+                .field("kill_ms", r.kill_ms)
+                .field("detections", r.detections)
+                .field("match_clean", r.match_clean)
+                .field("wal_appends", r.wal_appends)
+                .fixed("wal_kib", r.wal_kib, 1)
+                .field("snapshots_taken", r.snapshots_taken)
+                .field("recovery_replayed", r.recovery_replayed)
+                .fixed("recovery_ms", r.recovery_ms, 3)
+        }),
+    )
 }
 
-/// Pull `"field": <value>` out of the row with the given snapshot
-/// interval. The baseline is our own emission, so substring scanning is
-/// an adequate parser — anything it can't find is treated as malformed.
-fn extract<'a>(json: &'a str, interval: u64, field: &str) -> Option<&'a str> {
-    let obj = &json[json.find(&format!("\"snapshot_interval\": {interval},"))?..];
-    let obj = &obj[..obj.find('}')?];
-    let at = obj.find(&format!("\"{field}\":"))? + field.len() + 4;
-    let rest = &obj[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-fn check_rows(rows: &[Row]) -> bool {
-    let mut failed = false;
+/// The invariants every run's rows must hold, one line per violation.
+fn check_rows(rows: &[Row]) -> Vec<String> {
+    let mut failures = Vec::new();
     for r in rows {
         if !r.match_clean {
-            eprintln!(
-                "FAIL — detections diverged from the uninterrupted run at interval {}",
+            failures.push(format!(
+                "detections diverged from the uninterrupted run at interval {}",
                 r.snapshot_interval
-            );
-            failed = true;
+            ));
         }
         if r.wal_appends == 0 {
-            eprintln!(
-                "FAIL — WAL logged nothing at interval {} (durability inert?)",
+            failures.push(format!(
+                "WAL logged nothing at interval {} (durability inert?)",
                 r.snapshot_interval
-            );
-            failed = true;
+            ));
         }
         if r.snapshot_interval == 1 && r.snapshots_taken == 0 {
-            eprintln!("FAIL — interval 1 took no snapshots");
-            failed = true;
+            failures.push("interval 1 took no snapshots".to_string());
         }
     }
     // Snapshots exist to bound replay: the no-snapshot row must replay at
@@ -221,69 +193,45 @@ fn check_rows(rows: &[Row]) -> bool {
     };
     if let (Some(none), Some(tight)) = (replay_of(0), replay_of(1)) {
         if none < tight {
-            eprintln!("FAIL — snapshots increased replay ({none} < {tight})");
-            failed = true;
+            failures.push(format!("snapshots increased replay ({none} < {tight})"));
         }
         if none == 0 {
-            eprintln!("FAIL — no-snapshot recovery replayed nothing");
-            failed = true;
+            failures.push("no-snapshot recovery replayed nothing".to_string());
         }
     }
-    failed
+    failures
 }
 
-fn smoke(baseline_path: &str) -> i32 {
+fn smoke(gate: &mut Gate) -> Baseline {
     let rows = run_matrix(40, 20);
-    let json = render_json("smoke", &rows);
-    std::fs::create_dir_all("target").ok();
-    std::fs::write("target/BENCH_recovery_smoke.json", &json).ok();
-    print!("{json}");
-
-    let mut failed = check_rows(&rows);
-
-    let Ok(baseline) = std::fs::read_to_string(baseline_path) else {
-        eprintln!("smoke: FAIL — missing baseline {baseline_path}");
-        return 1;
-    };
-    for &interval in &INTERVALS {
-        match extract(&baseline, interval, "match_clean") {
-            Some("true") => {}
-            Some(v) => {
-                eprintln!("smoke: FAIL — baseline interval {interval} has match_clean = {v}");
-                failed = true;
-            }
-            None => {
-                eprintln!("smoke: FAIL — baseline is malformed (no row for interval {interval})");
-                failed = true;
-            }
+    for failure in check_rows(&rows) {
+        gate.fail(failure);
+    }
+    for interval in INTERVALS {
+        let clean = gate.baseline::<bool>("rows", "snapshot_interval", interval, "match_clean");
+        if clean == Some(false) {
+            gate.fail(format!(
+                "baseline interval {interval} has match_clean = false"
+            ));
         }
     }
-    match extract(&baseline, 0, "recovery_replayed").and_then(|v| v.parse::<u64>().ok()) {
-        Some(n) if n > 0 => {}
-        _ => {
-            eprintln!("smoke: FAIL — baseline no-snapshot recovery replayed nothing");
-            failed = true;
-        }
+    if gate.baseline::<u64>("rows", "snapshot_interval", 0, "recovery_replayed") == Some(0) {
+        gate.fail("baseline no-snapshot recovery replayed nothing");
     }
-    if failed {
-        1
-    } else {
-        eprintln!("smoke: OK");
-        0
-    }
+    report(&rows)
+}
+
+fn full() -> Baseline {
+    eprintln!("E17 — recovery cost vs snapshot interval (full run)");
+    let rows = run_matrix(200, 30);
+    let failures = check_rows(&rows);
+    assert!(
+        failures.is_empty(),
+        "full run failed its invariants: {failures:?}"
+    );
+    report(&rows)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        std::process::exit(smoke("BENCH_recovery.json"));
-    }
-
-    eprintln!("E17 — recovery cost vs snapshot interval (full run)");
-    let rows = run_matrix(200, 30);
-    assert!(!check_rows(&rows), "full run failed its invariants");
-    let json = render_json("full", &rows);
-    std::fs::write("BENCH_recovery.json", &json).expect("write BENCH_recovery.json");
-    print!("{json}");
-    eprintln!("wrote BENCH_recovery.json");
+    decs_bench::main("recovery", 1, full, smoke);
 }

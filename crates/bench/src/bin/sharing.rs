@@ -21,10 +21,10 @@
 //! headline speedup below 1.5x fails with a nonzero exit) and writes its
 //! own results under `target/`.
 
+use decs_bench::{Baseline, Gate, Row as JsonRow};
 use decs_snoop::{
     CentralTime, Context, EventExpr as E, EventExpr, Occurrence, PlanDetector, ReferenceDetector,
 };
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Total definitions per configuration.
@@ -177,109 +177,56 @@ fn run_config(overlap_pct: usize, events: u64) -> Row {
     }
 }
 
-fn render_json(mode: &str, events: u64, rows: &[Row]) -> String {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"bench\": \"sharing\",");
-    let _ = writeln!(j, "  \"schema\": 1,");
-    let _ = writeln!(j, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(j, "  \"threads\": {threads},");
-    let _ = writeln!(j, "  \"defs\": {DEFS},");
-    let _ = writeln!(j, "  \"events\": {events},");
-    let _ = writeln!(j, "  \"rows\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"name\": \"overlap_{}\", \"overlap_pct\": {}, \
-             \"shared_meps\": {:.3}, \"unshared_meps\": {:.3}, \
-             \"speedup\": {:.2}, \"detections\": {}, \"plan_nodes\": {}, \
-             \"shared_nodes\": {}, \"sharing_ratio\": {:.3}}}{comma}",
-            r.overlap_pct,
-            r.overlap_pct,
-            r.shared_meps,
-            r.unshared_meps,
-            r.speedup(),
-            r.detections,
-            r.plan_nodes,
-            r.shared_nodes,
-            r.sharing_ratio
-        );
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+const OVERLAPS: [usize; 4] = [0, 25, 50, 75];
+
+fn report(events: u64, rows: &[Row]) -> Baseline {
+    Baseline::new()
+        .stamp("defs", DEFS)
+        .stamp("events", events)
+        .array(
+            "rows",
+            rows.iter().map(|r| {
+                JsonRow::new()
+                    .text("name", &format!("overlap_{}", r.overlap_pct))
+                    .field("overlap_pct", r.overlap_pct)
+                    .fixed("shared_meps", r.shared_meps, 3)
+                    .fixed("unshared_meps", r.unshared_meps, 3)
+                    .fixed("speedup", r.speedup(), 2)
+                    .field("detections", r.detections)
+                    .field("plan_nodes", r.plan_nodes)
+                    .field("shared_nodes", r.shared_nodes)
+                    .fixed("sharing_ratio", r.sharing_ratio, 3)
+            }),
+        )
 }
 
-/// Pull `"field": <number>` out of the row object named `name` (same
-/// substring scanner as the other bench smokes — the baseline is our own
-/// emission, so anything it can't find is malformed).
-fn extract(json: &str, name: &str, field: &str) -> Option<f64> {
-    let obj = &json[json.find(&format!("\"name\": \"{name}\""))?..];
-    let obj = &obj[..obj.find('}')?];
-    let at = obj.find(&format!("\"{field}\":"))? + field.len() + 4;
-    let rest = &obj[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn smoke(baseline_path: &str) -> i32 {
+fn smoke(gate: &mut Gate) -> Baseline {
     // A quick pass still runs every overlap point — `run_config` hard-
     // asserts shared == unshared detections, which is the smoke's real
     // correctness gate.
     let events = 20_000;
-    let rows: Vec<Row> = [0, 25, 50, 75]
-        .iter()
-        .map(|&p| run_config(p, events))
-        .collect();
-    let json = render_json("smoke", events, &rows);
-    std::fs::create_dir_all("target").ok();
-    std::fs::write("target/BENCH_sharing_smoke.json", &json).ok();
-    print!("{json}");
-
-    let Ok(baseline) = std::fs::read_to_string(baseline_path) else {
-        eprintln!("smoke: FAIL — missing baseline {baseline_path}");
-        return 1;
-    };
-    let mut failed = false;
-    for p in [0, 25, 50, 75] {
-        if extract(&baseline, &format!("overlap_{p}"), "speedup").is_none() {
-            eprintln!("smoke: FAIL — baseline is malformed (no overlap_{p} row)");
-            failed = true;
-        }
-    }
+    let rows: Vec<Row> = OVERLAPS.iter().map(|&p| run_config(p, events)).collect();
     // The committed artifact must carry the headline: ≥1.5x feed
     // throughput at 50% overlap. The ratio is machine-independent enough
     // to enforce unconditionally (both legs run on the same machine).
-    match extract(&baseline, "overlap_50", "speedup") {
-        Some(s) if s >= 1.5 => {}
-        Some(s) => {
-            eprintln!("smoke: FAIL — baseline 50%-overlap speedup {s:.2} < 1.5x");
-            failed = true;
+    for p in OVERLAPS {
+        match gate.baseline::<f64>("rows", "name", format!("overlap_{p}"), "speedup") {
+            Some(s) if p == 50 && s < 1.5 => {
+                gate.fail(format!("baseline 50%-overlap speedup {s:.2} < 1.5x"));
+            }
+            _ => {}
         }
-        None => {} // already reported as malformed above
     }
-    if failed {
-        1
-    } else {
-        eprintln!("smoke: OK");
-        0
-    }
+    report(events, &rows)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        std::process::exit(smoke("BENCH_sharing.json"));
-    }
-
+fn full() -> Baseline {
     eprintln!("E16 — cross-definition operator sharing (full run)");
     // The no-GC guard scan is quadratic in per-triple rounds by design,
     // so the full run stays at a size where the slowest (75%-overlap,
     // unshared) leg finishes in tens of seconds.
     let events = 120_000;
-    let rows: Vec<Row> = [0, 25, 50, 75]
+    let rows: Vec<Row> = OVERLAPS
         .iter()
         .map(|&p| {
             let r = run_config(p, events);
@@ -296,8 +243,9 @@ fn main() {
             r
         })
         .collect();
-    let json = render_json("full", events, &rows);
-    std::fs::write("BENCH_sharing.json", &json).expect("write BENCH_sharing.json");
-    print!("{json}");
-    eprintln!("wrote BENCH_sharing.json");
+    report(events, &rows)
+}
+
+fn main() {
+    decs_bench::main("sharing", 1, full, smoke);
 }

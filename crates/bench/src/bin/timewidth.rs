@@ -28,13 +28,12 @@
 //! kernel, or a baseline width-32 speedup below 5x fails with a nonzero
 //! exit) and writes its own results under `target/`.
 
+use decs_bench::{time_ns, Baseline, Gate, Row};
 use decs_core::{cts, max_op, max_op_naive, CompositeTimestamp};
 use decs_snoop::nodes::any::AnyNode;
 use decs_snoop::nodes::seq::SeqNode;
 use decs_snoop::nodes::{OperatorNode, Sink};
 use decs_snoop::{Context, EventId, Occurrence};
-use std::fmt::Write as _;
-use std::hint::black_box;
 use std::time::Instant;
 
 const WIDTHS: [usize; 4] = [2, 8, 32, 128];
@@ -45,22 +44,6 @@ fn wide(base: u32, g: u64, w: usize, salt: u64) -> CompositeTimestamp {
     cts(&(0..w as u32)
         .map(|i| (base + i, g, salt + g * 1000 + u64::from(i)))
         .collect::<Vec<_>>())
-}
-
-/// Best-of-3 wall-clock ns per call of `f`, after one warmup pass.
-fn time_ns<O>(iters: u64, mut f: impl FnMut() -> O) -> f64 {
-    for _ in 0..iters / 4 {
-        black_box(f());
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
 }
 
 struct Kernel {
@@ -187,138 +170,58 @@ fn wide_any(w: usize, rounds: u64) -> WorkloadRow {
     }
 }
 
-fn render_json(mode: &str, kernels: &[Kernel], workloads: &[WorkloadRow]) -> String {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut j = String::new();
-    let _ = writeln!(j, "{{");
-    let _ = writeln!(j, "  \"bench\": \"timewidth\",");
-    let _ = writeln!(j, "  \"schema\": 1,");
-    let _ = writeln!(j, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(j, "  \"threads\": {threads},");
-    let _ = writeln!(j, "  \"kernels\": [");
-    for (i, k) in kernels.iter().enumerate() {
-        let comma = if i + 1 < kernels.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"name\": \"{}\", \"width\": {}, \"naive_ns\": {:.2}, \
-             \"fast_ns\": {:.2}, \"speedup\": {:.2}}}{comma}",
-            k.name,
-            k.width,
-            k.naive_ns,
-            k.fast_ns,
-            k.speedup()
-        );
-    }
-    let _ = writeln!(j, "  ],");
-    let _ = writeln!(j, "  \"workloads\": [");
-    for (i, r) in workloads.iter().enumerate() {
-        let comma = if i + 1 < workloads.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"workload\": \"{}\", \"width\": {}, \"emissions\": {}, \
-             \"ns_per_emission\": {:.1}}}{comma}",
-            r.workload, r.width, r.emissions, r.ns_per_emission
-        );
-    }
-    let _ = writeln!(j, "  ]");
-    let _ = writeln!(j, "}}");
-    j
+fn report(kernels: &[Kernel], workloads: &[WorkloadRow]) -> Baseline {
+    Baseline::new()
+        .array(
+            "kernels",
+            kernels.iter().map(|k| {
+                Row::new()
+                    .text("name", &k.name)
+                    .field("width", k.width)
+                    .fixed("naive_ns", k.naive_ns, 2)
+                    .fixed("fast_ns", k.fast_ns, 2)
+                    .fixed("speedup", k.speedup(), 2)
+            }),
+        )
+        .array(
+            "workloads",
+            workloads.iter().map(|r| {
+                Row::new()
+                    .text("workload", r.workload)
+                    .field("width", r.width)
+                    .field("emissions", r.emissions)
+                    .fixed("ns_per_emission", r.ns_per_emission, 1)
+            }),
+        )
 }
 
-/// Pull `"field": <number>` out of the kernel object named `name`. The
-/// baseline file is our own emission, so plain substring scanning is an
-/// adequate parser — anything it can't find is treated as malformed.
-fn extract(json: &str, name: &str, field: &str) -> Option<f64> {
-    let obj = &json[json.find(&format!("\"name\": \"{name}\""))?..];
-    let obj = &obj[..obj.find('}')?];
-    let at = obj.find(&format!("\"{field}\":"))? + field.len() + 4;
-    let rest = &obj[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-fn smoke(baseline_path: &str) -> i32 {
+fn smoke(gate: &mut Gate) -> Baseline {
     let kernels = bench_kernels(100_000);
-    let json = render_json("smoke", &kernels, &[]);
-    std::fs::create_dir_all("target").ok();
-    std::fs::write("target/BENCH_timewidth_smoke.json", &json).ok();
-    print!("{json}");
-
-    let Ok(baseline) = std::fs::read_to_string(baseline_path) else {
-        eprintln!("smoke: FAIL — missing baseline {baseline_path}");
-        return 1;
-    };
-    let mut failed = false;
-    // Absolute ns only compare within a machine class; the thread count
-    // stamped in the baseline is the proxy (same convention as the
-    // hotpath/ingest smokes). Ratios are enforced unconditionally.
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let base_threads = baseline
-        .find("\"threads\":")
-        .map(|i| i + "\"threads\":".len())
-        .and_then(|i| {
-            let rest = &baseline[i..];
-            let end = rest.find([',', '\n']).unwrap_or(rest.len());
-            rest[..end].trim().parse::<usize>().ok()
-        });
-    let comparable = base_threads.is_none() || base_threads == Some(threads);
-    if !comparable {
-        eprintln!(
-            "smoke: note — baseline ran on {} thread(s), this machine has {}; \
-             skipping absolute-ns kernel comparisons",
-            base_threads.unwrap(),
-            threads
-        );
-    }
+    // Absolute ns only compare on the baseline's class of machine; the
+    // speedup headline is enforced everywhere.
+    let same_machine = gate.same_machine();
     for k in &kernels {
-        let Some(base_fast) = extract(&baseline, &k.name, "fast_ns") else {
-            eprintln!(
-                "smoke: FAIL — baseline is malformed (no fast_ns for {})",
-                k.name
-            );
-            failed = true;
+        let base_fast = gate.baseline::<f64>("kernels", "name", &k.name, "fast_ns");
+        if k.width != 32 {
             continue;
-        };
-        if k.width == 32 && comparable && k.fast_ns > 2.0 * base_fast {
-            eprintln!(
-                "smoke: FAIL — {} regressed {:.2} ns → {:.2} ns (>2x)",
-                k.name, base_fast, k.fast_ns
-            );
-            failed = true;
+        }
+        if let Some(base_fast) = base_fast.filter(|&b| same_machine && k.fast_ns > 2.0 * b) {
+            gate.fail(format!(
+                "{} regressed {base_fast:.2} ns → {:.2} ns (>2x)",
+                k.name, k.fast_ns
+            ));
         }
         // The committed artifact must carry the headline: every width-32
         // vector kernel at ≥5x over the naive member scan.
-        if k.width == 32 {
-            match extract(&baseline, &k.name, "speedup") {
-                Some(s) if s >= 5.0 => {}
-                Some(s) => {
-                    eprintln!("smoke: FAIL — baseline {} speedup {s:.2} < 5x", k.name);
-                    failed = true;
-                }
-                None => {
-                    eprintln!(
-                        "smoke: FAIL — baseline is malformed (no speedup for {})",
-                        k.name
-                    );
-                    failed = true;
-                }
-            }
+        let speedup = gate.baseline::<f64>("kernels", "name", &k.name, "speedup");
+        if let Some(s) = speedup.filter(|&s| s < 5.0) {
+            gate.fail(format!("baseline {} speedup {s:.2} < 5x", k.name));
         }
     }
-    if failed {
-        1
-    } else {
-        eprintln!("smoke: OK");
-        0
-    }
+    report(&kernels, &[])
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
-        std::process::exit(smoke("BENCH_timewidth.json"));
-    }
-
+fn full() -> Baseline {
     eprintln!("E19 — timestamp-kernel width sweep (full run)");
     let kernels = bench_kernels(1_000_000);
     let mut workloads = Vec::new();
@@ -326,8 +229,9 @@ fn main() {
         workloads.push(long_seq(w, 256, 2_000));
         workloads.push(wide_any(w, 200_000));
     }
-    let json = render_json("full", &kernels, &workloads);
-    std::fs::write("BENCH_timewidth.json", &json).expect("write BENCH_timewidth.json");
-    print!("{json}");
-    eprintln!("wrote BENCH_timewidth.json");
+    report(&kernels, &workloads)
+}
+
+fn main() {
+    decs_bench::main("timewidth", 1, full, smoke);
 }

@@ -3,9 +3,10 @@
 //! cumulative acks with selective-ack ranges, stall detection and
 //! eviction.
 
-use super::{CoordCtx, CoordinatorNode, ACK_TIMER_TAG, RELAY_RETX_TAG};
+use super::{CoordCtx, CoordinatorNode, ACK_INTERVAL, ACK_TIMER_TAG, PARKED_CAP, RELAY_RETX_TAG};
 use crate::durability::WalRecord;
 use crate::protocol::{Msg, SACK_RANGES};
+use crate::site::RETRANSMIT_TIMEOUT;
 use decs_simnet::NodeIdx;
 use std::collections::BTreeMap;
 
@@ -306,7 +307,7 @@ impl CoordinatorNode {
             self.send_ack(NodeIdx(site as u32), site, ctx);
         }
         self.stall_check(ctx);
-        ctx.set_timer(self.ack_interval, ACK_TIMER_TAG);
+        ctx.set_timer(ACK_INTERVAL, ACK_TIMER_TAG);
     }
 
     /// Mark a site *suspect* when its watermark has not advanced for
@@ -347,7 +348,7 @@ impl CoordinatorNode {
             } else if any_advanced {
                 st.stalled_checks += 1;
                 if st.suspect {
-                    self.metrics.stall_ns += u128::from(self.ack_interval.get());
+                    self.metrics.stall_ns += u128::from(ACK_INTERVAL.get());
                 } else if st.stalled_checks >= self.stall_intervals {
                     st.suspect = true;
                     self.metrics.suspect_sites += 1;
@@ -377,13 +378,9 @@ impl CoordinatorNode {
         if matches!(msg, Msg::Start) {
             // Engine control: arm the periodic ack/stall-check round and —
             // on a replica — the relay retransmission round.
-            if self.ack_interval.get() > 0 {
-                ctx.set_timer(self.ack_interval, ACK_TIMER_TAG);
-            }
-            if let Some(part) = &self.part {
-                if part.relay_retx.get() > 0 {
-                    ctx.set_timer(part.relay_retx, RELAY_RETX_TAG);
-                }
+            ctx.set_timer(ACK_INTERVAL, ACK_TIMER_TAG);
+            if self.part.is_some() {
+                ctx.set_timer(RETRANSMIT_TIMEOUT, RELAY_RETX_TAG);
             }
             return;
         }
@@ -480,7 +477,7 @@ impl CoordinatorNode {
                 }
                 self.metrics.reassembly_parks += 1;
                 self.parked_total += 1;
-                if self.parked_cap > 0 && stream.parked.len() > self.parked_cap {
+                if stream.parked.len() > PARKED_CAP {
                     // Backpressure: discard the parked message farthest
                     // from the in-order frontier. Cumulative acks never
                     // cover it, so the sender retransmits it later.
@@ -513,7 +510,7 @@ impl CoordinatorNode {
 #[cfg(test)]
 mod tests {
     use super::super::partition::PartitionState;
-    use super::super::{CoordCtx, CoordinatorNode};
+    use super::super::{CoordCtx, CoordinatorNode, PARKED_CAP};
     use crate::protocol::{Msg, PlanePos, SACK_RANGES};
     use decs_chronos::Nanos;
     use decs_simnet::NodeIdx;
@@ -535,12 +532,10 @@ mod tests {
         }
     }
 
-    fn coordinator(parked_cap: usize) -> CoordinatorNode {
+    fn coordinator() -> CoordinatorNode {
         let mut d = PlanDetector::new();
         d.register("A").unwrap();
-        let mut c = CoordinatorNode::new(1, d, 100_000_000);
-        c.set_fault_tolerance(Nanos::ZERO, 0, false, parked_cap);
-        c
+        CoordinatorNode::new(1, d, 100_000_000)
     }
 
     /// Deliver heartbeat (empty batch) `seq` from site 0 and return the
@@ -565,7 +560,7 @@ mod tests {
 
     #[test]
     fn lossless_stream_acks_carry_an_empty_sack() {
-        let mut c = coordinator(0);
+        let mut c = coordinator();
         for seq in 0..5 {
             assert_eq!(deliver(&mut c, seq), vec![(seq + 1, vec![])]);
         }
@@ -573,7 +568,7 @@ mod tests {
 
     #[test]
     fn each_new_hole_gets_exactly_one_gap_ack() {
-        let mut c = coordinator(0);
+        let mut c = coordinator();
         // 2 opens the hole [0, 2).
         assert_eq!(deliver(&mut c, 2), vec![(0, vec![(2, 3)])]);
         // 3 extends the parked run above the same hole: no ack.
@@ -590,7 +585,7 @@ mod tests {
 
     #[test]
     fn sack_reports_the_lowest_ranges() {
-        let mut c = coordinator(0);
+        let mut c = coordinator();
         let mut last = Vec::new();
         for k in 1..=(SACK_RANGES as u64 + 1) {
             let acks = deliver(&mut c, 2 * k);
@@ -606,20 +601,30 @@ mod tests {
 
     #[test]
     fn parked_overflow_victim_leaves_the_sack() {
-        let mut c = coordinator(2);
+        let mut c = coordinator();
+        // The run [2, top] fills the parked buffer: one hole, one gap ack.
+        let top = PARKED_CAP as u64 + 1;
         assert_eq!(deliver(&mut c, 2), vec![(0, vec![(2, 3)])]);
-        assert_eq!(deliver(&mut c, 3), vec![]);
-        // 5 overflows the cap and is itself the victim: no hole opened.
-        assert_eq!(deliver(&mut c, 5), vec![]);
+        for seq in 3..=top {
+            assert_eq!(deliver(&mut c, seq), vec![]);
+        }
+        // top + 2 overflows the cap and is itself the victim: no hole
+        // opened.
+        assert_eq!(deliver(&mut c, top + 2), vec![]);
         assert_eq!(c.metrics.parked_dropped, 1);
-        // The next ack no longer sacks 5, so the sender's timer resends it.
-        assert_eq!(deliver(&mut c, 0), vec![(1, vec![(2, 4)])]);
+        // 1 overflows it again and evicts the top of the run, which the
+        // gap ack for the new hole no longer sacks.
+        assert_eq!(deliver(&mut c, 1), vec![(0, vec![(1, top)])]);
+        assert_eq!(c.metrics.parked_dropped, 2);
+        // In-order delivery stops below the victim, so the sender's timer
+        // resends it.
+        assert_eq!(deliver(&mut c, 0), vec![(top, vec![])]);
     }
 
     /// Replica 0 of a two-replica plane over one site: stream 0 is the
     /// site, stream 1 is this replica itself, stream 2 is its peer.
     fn replica() -> CoordinatorNode {
-        let mut c = coordinator(0);
+        let mut c = coordinator();
         c.enable_partition(PartitionState::new(
             0,
             1,
@@ -631,7 +636,6 @@ mod tests {
             0,
             0,
             1,
-            Nanos::ZERO,
         ));
         c
     }
@@ -668,14 +672,14 @@ mod tests {
 
     #[test]
     fn relay_at_a_classic_coordinator_is_refused() {
-        let mut c = coordinator(0);
+        let mut c = coordinator();
         assert_refused(&mut c, 0, relay(1));
         assert_eq!(c.metrics.foreign_refused, 1);
     }
 
     #[test]
     fn routed_at_a_classic_coordinator_is_refused() {
-        let mut c = coordinator(0);
+        let mut c = coordinator();
         let routed = Msg::Routed {
             seq: 0,
             epoch: 0,
@@ -688,7 +692,7 @@ mod tests {
 
     #[test]
     fn sender_without_a_stream_is_refused() {
-        let mut c = coordinator(0);
+        let mut c = coordinator();
         assert_refused(&mut c, 5, heartbeat(7));
         assert_eq!(c.metrics.foreign_refused, 1);
         let mut r = replica();

@@ -101,13 +101,14 @@ pub(crate) const ACK_TIMER_TAG: u64 = u64::MAX;
 /// retransmission round (partitioned deployments only).
 pub(crate) const RELAY_RETX_TAG: u64 = u64::MAX - 1;
 
-/// Period of a deployed engine's coordinator ack/stall-check round:
-/// periodic cumulative acks repair acks lost on the return path.
+/// Period of the coordinator's ack/stall-check round (armed by
+/// `Msg::Start`): periodic cumulative acks repair acks lost on the return
+/// path.
 pub(crate) const ACK_INTERVAL: Nanos = Nanos::from_millis(100);
 
-/// Bound on each stream's parked (out-of-order) reassembly buffer in a
-/// deployed engine; overflow discards the highest-sequence parked message
-/// (recovered by retransmission).
+/// Bound on each stream's parked (out-of-order) reassembly buffer;
+/// overflow discards the highest-sequence parked message (recovered by
+/// retransmission).
 pub(crate) const PARKED_CAP: usize = 4096;
 
 #[derive(Debug, Default)]
@@ -176,15 +177,10 @@ pub struct CoordinatorNode {
     /// Event types whose *arrival* is itself a reportable detection
     /// (site-local composite events detected at the sites).
     pub(crate) reportable: HashSet<EventId>,
-    /// Period of the ack/stall-check timer (`ZERO` disables it; armed by
-    /// `Msg::Start`).
-    pub(crate) ack_interval: Nanos,
     /// Stall threshold in check rounds (`0` disables stall detection).
     pub(crate) stall_intervals: u64,
     /// Escalate suspect sites to eviction.
     pub(crate) auto_evict: bool,
-    /// Bound on each site's parked reassembly buffer (`0` = unbounded).
-    pub(crate) parked_cap: usize,
     /// Stall-detector state, one entry per site.
     pub(crate) stall: Vec<StallState>,
     /// Parked messages across all site streams (for `parked_peak`).
@@ -259,10 +255,8 @@ impl CoordinatorNode {
             ablation: Ablation::default(),
             last_gc_low: 0,
             reportable: HashSet::new(),
-            ack_interval: Nanos::ZERO,
             stall_intervals: 0,
             auto_evict: false,
-            parked_cap: 0,
             stall: vec![StallState::default(); sites],
             parked_total: 0,
             wal: None,
@@ -293,21 +287,12 @@ impl CoordinatorNode {
         self.part = Some(state);
     }
 
-    /// Configure the fault-tolerance machinery: the periodic ack/stall
-    /// timer (armed when the engine delivers `Msg::Start`), the stall
-    /// threshold, automatic eviction of suspect sites, and the parked
-    /// reassembly-buffer bound. All off in a bare coordinator.
-    pub fn set_fault_tolerance(
-        &mut self,
-        ack_interval: Nanos,
-        stall_intervals: u64,
-        auto_evict: bool,
-        parked_cap: usize,
-    ) {
-        self.ack_interval = ack_interval;
+    /// Configure stall detection: the threshold in ack rounds (`0`
+    /// disables it) and automatic eviction of suspect sites. Both off in
+    /// a bare coordinator.
+    pub fn set_fault_tolerance(&mut self, stall_intervals: u64, auto_evict: bool) {
         self.stall_intervals = stall_intervals;
         self.auto_evict = auto_evict;
-        self.parked_cap = parked_cap;
     }
 
     /// Number of notifications awaiting stability.

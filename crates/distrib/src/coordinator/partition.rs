@@ -93,6 +93,7 @@
 
 use super::{CoordCtx, CoordinatorNode, RawDetection};
 use crate::protocol::{Msg, PathStep, PlanePos, RelayedEvent, RoutedEvent};
+use crate::site::RETRANSMIT_TIMEOUT;
 use decs_chronos::Nanos;
 use decs_core::CompositeTimestamp;
 use decs_simnet::NodeIdx;
@@ -206,8 +207,6 @@ pub(crate) struct PartitionState {
     pub(crate) fed_since_sample: bool,
     /// The watermark `advance_promise` last ran against.
     pub(crate) last_w: u64,
-    /// Period of the relay retransmission round (`ZERO` disables it).
-    pub(crate) relay_retx: Nanos,
 }
 
 impl PartitionState {
@@ -223,7 +222,6 @@ impl PartitionState {
         reach_peers: u64,
         gaters: u64,
         max_depth: u32,
-        relay_retx: Nanos,
     ) -> Self {
         let strata = max_depth.max(1) as usize;
         let mut peer_bound = vec![vec![PlanePos::MIN; strata]; n_replicas];
@@ -249,7 +247,6 @@ impl PartitionState {
             promise_stale: true,
             fed_since_sample: false,
             last_w: 0,
-            relay_retx,
         }
     }
 
@@ -698,24 +695,21 @@ impl CoordinatorNode {
     /// round's does.
     pub(super) fn relay_retx_round(&mut self, ctx: &mut impl CoordCtx) {
         let mut resend: Vec<(NodeIdx, Msg)> = Vec::new();
-        let period = {
-            let part = self.part.as_ref().expect("partitioned");
-            for q in 0..part.n_replicas {
-                if q == part.replica {
-                    continue;
-                }
-                let node = NodeIdx((part.n_sites + q) as u32);
-                for (_, msg) in &part.out[q].unacked {
-                    resend.push((node, msg.clone()));
-                }
+        let part = self.part.as_ref().expect("partitioned");
+        for q in 0..part.n_replicas {
+            if q == part.replica {
+                continue;
             }
-            part.relay_retx
-        };
+            let node = NodeIdx((part.n_sites + q) as u32);
+            for (_, msg) in &part.out[q].unacked {
+                resend.push((node, msg.clone()));
+            }
+        }
         self.metrics.relay_retransmits += resend.len() as u64;
         for (node, msg) in resend {
             ctx.send(node, msg);
         }
-        ctx.set_timer(period, super::RELAY_RETX_TAG);
+        ctx.set_timer(RETRANSMIT_TIMEOUT, super::RELAY_RETX_TAG);
     }
 
     /// Operator-buffer GC under partitioning: the classic

@@ -36,7 +36,7 @@ impl CoordinatorNode {
     /// Drain the stable prefix of the buffer in one watermark-bounded
     /// batch: every released notification is staged, in canonical order,
     /// into the reusable **columnar** [`decs_snoop::EventBatch`] — types,
-    /// stamps and parameter handles struct-of-arrays, materialized only
+    /// stamps and parameter lists struct-of-arrays, materialized only
     /// for routed types at delivery — and fed in one call. The parameter
     /// lists ride as `Arc` bumps; re-minted occurrence uids are fresh
     /// either way.

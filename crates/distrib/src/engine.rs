@@ -10,7 +10,7 @@
 use crate::config::{Ablation, EngineConfig};
 use crate::coordinator::compile;
 use crate::coordinator::partition::{coarse, PartKey, PartitionState};
-use crate::coordinator::{CoordinatorNode, RawDetection, ACK_INTERVAL, PARKED_CAP};
+use crate::coordinator::{CoordinatorNode, RawDetection};
 use crate::error::EngineError;
 use crate::metrics::Metrics;
 use crate::protocol::{Msg, PlanePos};
@@ -272,12 +272,7 @@ fn coordinator_node(
     let mut node = CoordinatorNode::new(n_sites, detector, gg_nanos);
     node.ablation = ablation;
     node.reportable = reportable.into_iter().collect();
-    node.set_fault_tolerance(
-        ACK_INTERVAL,
-        config.stall_intervals,
-        config.auto_evict,
-        PARKED_CAP,
-    );
+    node.set_fault_tolerance(config.stall_intervals, config.auto_evict);
     node
 }
 
@@ -537,7 +532,6 @@ impl Engine {
             layout.can_reach[r],
             gaters,
             layout.max_depth,
-            RETRANSMIT_TIMEOUT,
         ));
         Ok(node)
     }
@@ -734,12 +728,16 @@ impl Engine {
         c.site_epoch(site as usize)
     }
 
-    /// If the coordinator's WAL fail-stopped it, the first I/O error.
+    /// If a coordinator's WAL fail-stopped it, the first I/O error (on a
+    /// partitioned plane, that of the first failed replica in replica
+    /// order).
     pub fn coordinator_wal_failed(&self) -> Option<String> {
-        let Node::Coordinator(c) = self.sim.node(self.coordinator) else {
-            unreachable!("coordinator index")
-        };
-        c.wal_failed().map(str::to_string)
+        self.coordinators.iter().find_map(|&node| {
+            let Node::Coordinator(c) = self.sim.node(node) else {
+                unreachable!("coordinator index")
+            };
+            c.wal_failed().map(str::to_string)
+        })
     }
 
     /// Inject a primitive event occurrence at `site` at true time `at`.

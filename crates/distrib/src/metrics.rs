@@ -93,8 +93,8 @@ pub struct Metrics {
     /// Notifications fed through the columnar (struct-of-arrays) release
     /// path instead of per-event feeds.
     pub batch_ingest_events: u64,
-    /// High-water mark of bytes staged in the columnar batch's parameter
-    /// arena during a release round.
+    /// High-water mark of bytes the columnar release batch retains
+    /// (`EventBatch::arena_bytes`).
     pub arena_bytes: u64,
     /// Site restarts (aggregated over sites by the engine; 0 in a bare
     /// coordinator).

@@ -1,4 +1,4 @@
-//! Columnar (struct-of-arrays) event batches and the parameter arena.
+//! Columnar (struct-of-arrays) event batches.
 //!
 //! The per-event ingest path pays three heap allocations and a catalog
 //! hash lookup per primitive occurrence (`Occurrence::bare` wraps an
@@ -6,18 +6,17 @@
 //! time), plus a watermark-GC sweep over every operator node per feed.
 //! [`EventBatch`] amortizes all of that across a whole batch:
 //!
-//! * **SoA layout** — event types, stamps and parameter *handles* live in
+//! * **SoA layout** — event types, stamps and parameter lists live in
 //!   parallel vectors, so batch-level prefilters (route presence, timer
 //!   boundaries) scan a dense `EventId`/tick column instead of chasing
 //!   per-occurrence pointers.
-//! * **Arena-backed parameters** — parameter lists are owned by a
-//!   [`ParamArena`] and referenced by generation-indexed
-//!   [`ParamHandle`]s. Bare (parameterless) events share one interned
-//!   list per event type for the life of the arena — zero allocations
-//!   per event after the first of each type. Parameterized events get a
-//!   transient slot that dies when the batch is [`EventBatch::clear`]ed:
-//!   the generation bumps and stale handles can never resurrect a
-//!   recycled buffer (they resolve to `None`).
+//! * **Shared parameter lists** — a [`ParamList`] is an `Arc` slice, so a
+//!   row that already carries one (the coordinator's re-batching path)
+//!   stores a refcount bump. A bare (parameterless) row stores `None`,
+//!   which stands for its type's interned empty list: built once per
+//!   event type for the life of the batch and cloned only when a routed
+//!   row is materialized, so `push_bare` does no allocation and no `Arc`
+//!   traffic after the first row of each type.
 //! * **Reuse** — `clear` keeps every column's capacity, so a steady-state
 //!   ingest loop allocates nothing.
 //!
@@ -42,115 +41,6 @@ use crate::event::{fresh_uid, EventId, Occurrence, ParamList, ParamTuple, Value}
 use crate::time::EventTime;
 use std::sync::Arc;
 
-/// A generation-checked reference to a parameter list in a [`ParamArena`].
-///
-/// `Bare` handles point at the per-type interned empty list and stay
-/// valid for the arena's lifetime. `Owned` handles point at a transient
-/// slot and are invalidated by [`ParamArena::reset`] — resolving a stale
-/// handle returns `None` instead of whatever now occupies the slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParamHandle {
-    /// The interned empty parameter list of one event type.
-    Bare(EventId),
-    /// A transient slot, valid only for the generation that allocated it.
-    Owned {
-        /// Slot index within the arena.
-        index: u32,
-        /// Arena generation the slot was allocated in.
-        generation: u32,
-    },
-}
-
-/// Slab of parameter lists backing one [`EventBatch`] (or any other
-/// ingest staging area). See the module docs for the handle protocol.
-#[derive(Debug, Default)]
-pub struct ParamArena {
-    /// Interned empty list per event type, immortal (indexed by
-    /// `EventId`).
-    bare: Vec<Option<ParamList>>,
-    /// Transient slots of the current generation.
-    slots: Vec<ParamList>,
-    generation: u32,
-    /// Estimated payload bytes held by the current generation's slots.
-    payload_bytes: usize,
-}
-
-impl ParamArena {
-    /// An empty arena at generation 0.
-    pub fn new() -> Self {
-        ParamArena::default()
-    }
-
-    /// The interned empty parameter list for `ty` (allocated once per
-    /// type, shared by every bare event of that type thereafter).
-    pub fn intern_bare(&mut self, ty: EventId) -> ParamHandle {
-        let i = ty.0 as usize;
-        if i >= self.bare.len() {
-            self.bare.resize(i + 1, None);
-        }
-        if self.bare[i].is_none() {
-            self.bare[i] = Some(Arc::new([ParamTuple::new(ty, Vec::new())]));
-        }
-        ParamHandle::Bare(ty)
-    }
-
-    /// Allocate a transient slot holding a fresh single-tuple list.
-    pub fn alloc(&mut self, ty: EventId, values: Vec<Value>) -> ParamHandle {
-        self.payload_bytes += values.len() * std::mem::size_of::<Value>();
-        self.alloc_list(Arc::new([ParamTuple::new(ty, values)]))
-    }
-
-    /// Allocate a transient slot referencing an existing list (an `Arc`
-    /// bump — used when re-batching occurrences that already carry
-    /// parameters, e.g. the coordinator's release path).
-    pub fn alloc_list(&mut self, params: ParamList) -> ParamHandle {
-        let index = self.slots.len() as u32;
-        self.slots.push(params);
-        ParamHandle::Owned {
-            index,
-            generation: self.generation,
-        }
-    }
-
-    /// Resolve a handle. Returns `None` for an `Owned` handle from a
-    /// previous generation (the slot was recycled by [`Self::reset`]) —
-    /// stale handles are never resurrected.
-    pub fn get(&self, h: ParamHandle) -> Option<&ParamList> {
-        match h {
-            ParamHandle::Bare(ty) => self.bare.get(ty.0 as usize)?.as_ref(),
-            ParamHandle::Owned { index, generation } => {
-                if generation != self.generation {
-                    return None;
-                }
-                self.slots.get(index as usize)
-            }
-        }
-    }
-
-    /// Recycle every transient slot: bump the generation (invalidating
-    /// all outstanding `Owned` handles) and clear the slot vector, keeping
-    /// its capacity. Interned bare lists survive.
-    pub fn reset(&mut self) {
-        self.generation = self.generation.wrapping_add(1);
-        self.slots.clear();
-        self.payload_bytes = 0;
-    }
-
-    /// Estimated bytes retained by the arena: slot/bare-table capacity
-    /// plus the current generation's payloads.
-    pub fn bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<ParamList>()
-            + self.bare.capacity() * std::mem::size_of::<Option<ParamList>>()
-            + self
-                .bare
-                .iter()
-                .flatten()
-                .map(|_| std::mem::size_of::<ParamTuple>())
-                .sum::<usize>()
-            + self.payload_bytes
-    }
-}
-
 /// A struct-of-arrays batch of primitive events awaiting ingestion.
 ///
 /// Columns are parallel: `types[i]`, `times[i]` and `params[i]` describe
@@ -161,8 +51,11 @@ impl ParamArena {
 pub struct EventBatch<T> {
     types: Vec<EventId>,
     times: Vec<T>,
-    params: Vec<ParamHandle>,
-    arena: ParamArena,
+    /// `None` stands for the row type's entry in `bare`.
+    params: Vec<Option<ParamList>>,
+    /// Interned empty parameter list per event type (indexed by
+    /// `EventId`), kept across [`Self::clear`].
+    bare: Vec<Option<ParamList>>,
 }
 
 impl<T: EventTime> EventBatch<T> {
@@ -172,7 +65,7 @@ impl<T: EventTime> EventBatch<T> {
             types: Vec::new(),
             times: Vec::new(),
             params: Vec::new(),
-            arena: ParamArena::new(),
+            bare: Vec::new(),
         }
     }
 
@@ -182,37 +75,39 @@ impl<T: EventTime> EventBatch<T> {
             types: Vec::with_capacity(n),
             times: Vec::with_capacity(n),
             params: Vec::with_capacity(n),
-            arena: ParamArena::new(),
+            bare: Vec::new(),
         }
     }
 
     /// Append a parameterless event (shares the per-type interned list).
     pub fn push_bare(&mut self, ty: EventId, time: T) {
-        let h = self.arena.intern_bare(ty);
+        let i = ty.0 as usize;
+        if i >= self.bare.len() {
+            self.bare.resize(i + 1, None);
+        }
+        if self.bare[i].is_none() {
+            self.bare[i] = Some(Arc::new([ParamTuple::new(ty, Vec::new())]));
+        }
         self.types.push(ty);
         self.times.push(time);
-        self.params.push(h);
+        self.params.push(None);
     }
 
     /// Append an event with parameter values.
     pub fn push(&mut self, ty: EventId, time: T, values: Vec<Value>) {
-        let h = if values.is_empty() {
-            self.arena.intern_bare(ty)
+        if values.is_empty() {
+            self.push_bare(ty, time);
         } else {
-            self.arena.alloc(ty, values)
-        };
-        self.types.push(ty);
-        self.times.push(time);
-        self.params.push(h);
+            self.push_list(ty, time, Arc::new([ParamTuple::new(ty, values)]));
+        }
     }
 
     /// Append an event that already carries a parameter list (an `Arc`
     /// bump, no copy — the coordinator's re-batching path).
     pub fn push_list(&mut self, ty: EventId, time: T, params: ParamList) {
-        let h = self.arena.alloc_list(params);
         self.types.push(ty);
         self.times.push(time);
-        self.params.push(h);
+        self.params.push(Some(params));
     }
 
     /// Number of events in the batch.
@@ -249,34 +144,38 @@ impl<T: EventTime> EventBatch<T> {
     /// stamp clone, fresh uid. Called once per *routed* event at delivery
     /// time; unrouted events are never materialized.
     pub fn occurrence(&self, i: usize) -> Occurrence<T> {
-        let params = self
-            .arena
-            .get(self.params[i])
-            .expect("batch-local handles are always current")
-            .clone();
+        let ty = self.types[i];
+        let params = match &self.params[i] {
+            Some(params) => params,
+            None => self.bare[ty.0 as usize]
+                .as_ref()
+                .expect("push_bare interns the row's type"),
+        };
         Occurrence {
-            ty: self.types[i],
+            ty,
             time: self.times[i].clone(),
-            params,
+            params: params.clone(),
             uid: fresh_uid(),
         }
     }
 
-    /// Recycle the batch: drop every event, invalidate every transient
-    /// parameter handle (see [`ParamArena::reset`]), keep all capacity.
+    /// Recycle the batch: drop every event, keep all capacity and the
+    /// interned bare lists.
     pub fn clear(&mut self) {
         self.types.clear();
         self.times.clear();
         self.params.clear();
-        self.arena.reset();
     }
 
-    /// Estimated bytes retained by the batch's columns and arena.
+    /// Estimated bytes retained by the batch: column capacity plus the
+    /// interned bare lists. Shared parameter lists are counted as the
+    /// pointers the batch holds.
     pub fn arena_bytes(&self) -> usize {
         self.types.capacity() * std::mem::size_of::<EventId>()
             + self.times.capacity() * std::mem::size_of::<T>()
-            + self.params.capacity() * std::mem::size_of::<ParamHandle>()
-            + self.arena.bytes()
+            + (self.params.capacity() + self.bare.capacity())
+                * std::mem::size_of::<Option<ParamList>>()
+            + self.bare.iter().flatten().count() * std::mem::size_of::<ParamTuple>()
     }
 
     /// Materialize every event whose type passes `routed` into plain
@@ -326,28 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn evicted_handles_are_never_resurrected() {
-        let mut arena = ParamArena::new();
-        let stale = arena.alloc(EventId(0), vec![Value::Int(1)]);
-        assert!(arena.get(stale).is_some());
-        arena.reset();
-        // The slot vector is recycled; a new allocation may reuse the very
-        // same index, but the stale handle must not see it.
-        let fresh = arena.alloc(EventId(0), vec![Value::Int(2)]);
-        assert_eq!(arena.get(stale), None, "stale handle resurrected");
-        assert_eq!(
-            arena.get(fresh).unwrap()[0].values[0].as_int(),
-            Some(2),
-            "current-generation handle must resolve"
-        );
-        // Bare interned lists survive resets by design.
-        let bare = arena.intern_bare(EventId(4));
-        arena.reset();
-        assert!(arena.get(bare).is_some());
-    }
-
-    #[test]
-    fn clear_keeps_capacity_and_invalidates() {
+    fn clear_keeps_capacity() {
         let mut b = EventBatch::<CentralTime>::with_capacity(8);
         b.push(EventId(0), CentralTime(1), vec![Value::Bool(true)]);
         let bytes_before = b.arena_bytes();

@@ -40,7 +40,7 @@ pub mod reference;
 pub mod state;
 pub mod time;
 
-pub use batch::{EventBatch, ParamArena, ParamHandle};
+pub use batch::EventBatch;
 pub use context::Context;
 pub use detector::CentralDetector;
 pub use error::{Result, SnoopError};

@@ -6,13 +6,11 @@
 //! produce the same named detections — same composite timestamps, same
 //! accumulated parameters, same order — as feeding every occurrence
 //! individually through the GC-free [`ReferenceDetector`], for arbitrary
-//! traces across all five parameter contexts. A deterministic companion
-//! test pins the arena no-resurrection guarantee: handles minted before a
-//! generation reset never resolve afterwards.
+//! traces across all five parameter contexts.
 
 use decs::snoop::{
     CentralDetector, CentralTime, Context, EventBatch, EventExpr, EventExpr as E, Occurrence,
-    ParamArena, ReferenceDetector, Value,
+    ReferenceDetector, Value,
 };
 use decs_testkit::{check, pick, vec_of, SplitMix64};
 
@@ -50,7 +48,7 @@ fn definitions() -> Vec<(String, EventExpr, Context)> {
 
 /// Random workload row: (tick delta, event index, parameter payload).
 /// Deltas of 0 keep several rows on one tick (the batch fan-out case);
-/// non-empty payloads force arena-backed parameter staging.
+/// non-empty payloads force owned parameter lists into the batch.
 fn workload(rng: &mut SplitMix64) -> Vec<(u64, usize, Vec<u64>)> {
     vec_of(rng, 0, 59, |r| {
         (
@@ -98,7 +96,7 @@ fn run_per_event(trace: &[(u64, usize, Vec<u64>)]) -> Detections {
 /// Candidate: the same rows staged struct-of-arrays and fed through the
 /// plan's `feed_columnar` in `chunk`-sized batches (chunk ≥ trace length ⇒
 /// one whole-batch call). The staging batch is reused across chunks, so
-/// the arena's generation counter actually advances mid-run.
+/// rows staged after a `clear` reuse the interned bare lists.
 fn run_columnar(gc: bool, chunk: usize, trace: &[(u64, usize, Vec<u64>)]) -> Detections {
     let mut d = CentralDetector::new();
     for name in NAMES {
@@ -144,45 +142,4 @@ fn columnar_ingest_is_bit_identical_to_per_event_feeds() {
             assert_eq!(&columnar, &oracle, "gc={buffer_gc} chunk={chunk}");
         },
     );
-}
-
-/// The arena's generation discipline, end to end: owned handles minted
-/// before a `reset` never resolve afterwards — not even when the reset
-/// arena re-fills the same slots — while interned bare handles are
-/// immortal by construction.
-#[test]
-fn arena_reset_never_resurrects_owned_handles() {
-    let mut d = CentralDetector::new();
-    for name in NAMES {
-        d.register(name).unwrap();
-    }
-    let a = d.catalog().lookup("A").unwrap();
-    let b = d.catalog().lookup("B").unwrap();
-
-    let mut arena = ParamArena::new();
-    let bare = arena.intern_bare(a);
-    let old: Vec<_> = (0..8)
-        .map(|i| arena.alloc(b, vec![Value::Int(i)]))
-        .collect();
-    for (i, &h) in old.iter().enumerate() {
-        let params = arena.get(h).expect("live before reset");
-        assert_eq!(params[0].values[0], Value::Int(i as i64));
-    }
-
-    arena.reset();
-    // Refill every slot the old handles pointed at.
-    let fresh: Vec<_> = (0..8)
-        .map(|i| arena.alloc(b, vec![Value::Int(100 + i)]))
-        .collect();
-    for &h in &old {
-        assert_eq!(arena.get(h), None, "stale handle resolved after reset");
-    }
-    for (i, &h) in fresh.iter().enumerate() {
-        let params = arena.get(h).expect("fresh handles live");
-        assert_eq!(params[0].values[0], Value::Int(100 + i as i64));
-    }
-    // Bare handles survive any number of resets.
-    assert!(arena.get(bare).is_some());
-    arena.reset();
-    assert!(arena.get(bare).is_some());
 }

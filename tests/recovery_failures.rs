@@ -325,3 +325,30 @@ fn restart_dedup_drops_retransmitted_prefix() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `coordinator_wal_failed` is the operator's fail-stop signal on a
+/// partitioned plane too: replica 1's WAL is `/dev/full`, so its first
+/// append fails, and the engine must report it although replica 0 (the
+/// first coordinator) is healthy.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_fail_stopped_replica_is_reported() {
+    let dir = tmp_dir("replica-wal-full");
+    std::fs::create_dir_all(dir.join("replica-1")).unwrap();
+    std::os::unix::fs::symlink("/dev/full", dir.join("replica-1").join(WAL_FILE)).unwrap();
+    let config = EngineConfig {
+        coordinator_replicas: 2,
+        durability: Some(Durability {
+            dir: dir.clone(),
+            snapshot_interval: u64::MAX,
+        }),
+        ..EngineConfig::default()
+    };
+    let mut e = Engine::new(&scenario(11), config, &["A", "B", "C"], &defs()).unwrap();
+    assert_eq!(e.coordinator_wal_failed(), None);
+    inject_all(&mut e, &workload());
+    e.run_until(HORIZON);
+    let failed = e.coordinator_wal_failed();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(failed.is_some(), "replica 1 fail-stopped unreported");
+}
